@@ -14,7 +14,6 @@ package bind
 // (internal/bind/shard.go builds on this).
 
 import (
-	"container/heap"
 	"math"
 
 	"modelnet/internal/pipes"
@@ -68,64 +67,235 @@ func LinkLat(l topology.Link) vtime.Duration {
 	return vtime.DurationOf(l.Attr.LatencySec)
 }
 
-// ReverseIndex returns, per node, the IDs of links entering it. Build it
-// once per graph and share it across DistToNode calls.
-func ReverseIndex(g *topology.Graph) [][]topology.LinkID {
-	in := make([][]topology.LinkID, g.NumNodes())
-	for _, l := range g.Links {
-		in[l.Dst] = append(in[l.Dst], l.ID)
-	}
-	return in
-}
-
-// destItem is a frontier entry of the reverse Dijkstra.
+// destItem is a frontier entry of the reverse Dijkstra: a node's tentative
+// distance, flattened so an entry is 16 bytes.
 type destItem struct {
-	node topology.NodeID
-	d    Dist
+	lat  vtime.Duration
+	hops int32
+	node int32
 }
 
-type destPQ []destItem
+func (it destItem) dist() Dist { return Dist{Lat: it.lat, Hops: it.hops} }
 
-func (p destPQ) Len() int { return len(p) }
-func (p destPQ) Less(i, j int) bool {
-	if p[i].d != p[j].d {
-		return p[i].d.Less(p[j].d)
+// before orders frontier entries by distance, then node index.
+func (it destItem) before(o destItem) bool {
+	if it.lat != o.lat {
+		return it.lat < o.lat
 	}
-	return p[i].node < p[j].node
+	if it.hops != o.hops {
+		return it.hops < o.hops
+	}
+	return it.node < o.node
 }
-func (p destPQ) Swap(i, j int) { p[i], p[j] = p[j], p[i] }
-func (p *destPQ) Push(x any)   { *p = append(*p, x.(destItem)) }
-func (p *destPQ) Pop() any     { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
 
-// DistToNode computes, for every node, the canonical distance to target:
-// one reverse Dijkstra over the incoming-link index. The result is the
-// unique policy distance — independent of heap pop order — so any two
-// computations of it agree exactly.
-func DistToNode(g *topology.Graph, rev [][]topology.LinkID, target topology.NodeID) []Dist {
-	dist := make([]Dist, g.NumNodes())
-	for i := range dist {
-		dist[i] = Unreachable
+// destKernel is the one reverse Dijkstra behind every route computation:
+// Matrix, Cache and Lazy fields (destEngine), shard-local fields
+// (ShardTable) and frontier summaries (SummaryOracle). It runs over a
+// reverse adjacency in compressed-sparse-row form on dense node indices:
+// the in-links of node v are entries off[v] .. off[v+1]-1, each holding its
+// tail's index and its canonical weight (LinkLat, precomputed), so a
+// relaxation neither copies a topology.Link nor converts a float. Distance
+// field, frontier heap and bookkeeping are scratch reused across runs.
+//
+// The result of a run is the unique policy distance toward the seeds —
+// independent of heap pop order — so any two computations of it agree
+// exactly, and a bounded run (stopAt) that ends once its stop nodes settle
+// has their final distances: Dijkstra settles in nondecreasing distance, and
+// every weight adds at least one hop.
+type destKernel struct {
+	off  []int32
+	tail []int32
+	lat  []vtime.Duration
+	at   []int32 // link ID -> entry, -1 when the link is not indexed
+
+	dist    []Dist // Unreachable outside touched
+	touched []int32
+	heap    []destItem
+	saved   []downSave
+	stop    []bool // stop[v]: a bounded run waits for v to settle
+	nstop   int
+}
+
+type downSave struct {
+	entry int32
+	lat   vtime.Duration
+}
+
+// newDestKernel indexes the given links (ascending ID order) over n dense
+// node indices; idx maps a node ID to its index (nil = identity) and must
+// cover every link's endpoints. numLinks sizes the link ID space.
+func newDestKernel(n, numLinks int, links []topology.Link, idx []int32) *destKernel {
+	at := func(v topology.NodeID) int32 {
+		if idx == nil {
+			return int32(v)
+		}
+		return idx[v]
 	}
-	dist[target] = Dist{}
-	var q destPQ
-	heap.Push(&q, destItem{target, Dist{}})
-	done := make([]bool, g.NumNodes())
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(destItem)
-		if done[it.node] {
+	k := &destKernel{
+		off:  make([]int32, n+1),
+		tail: make([]int32, len(links)),
+		lat:  make([]vtime.Duration, len(links)),
+		at:   make([]int32, numLinks),
+		dist: make([]Dist, n),
+	}
+	for _, l := range links {
+		k.off[at(l.Dst)+1]++
+	}
+	for v := 0; v < n; v++ {
+		k.off[v+1] += k.off[v]
+	}
+	next := append([]int32(nil), k.off[:n]...)
+	for i := range k.at {
+		k.at[i] = -1
+	}
+	for _, l := range links {
+		d := at(l.Dst)
+		e := next[d]
+		next[d]++
+		k.tail[e] = at(l.Src)
+		k.lat[e] = LinkLat(l)
+		k.at[l.ID] = e
+	}
+	for i := range k.dist {
+		k.dist[i] = Unreachable
+	}
+	return k
+}
+
+// newGraphKernel indexes every link of g over its node IDs.
+func newGraphKernel(g *topology.Graph) *destKernel {
+	return newDestKernel(g.NumNodes(), g.NumLinks(), g.Links, nil)
+}
+
+// stopAt bounds later runs: each ends once every given node has settled.
+func (k *destKernel) stopAt(nodes []int32) {
+	k.stop = make([]bool, len(k.dist))
+	k.nstop = 0
+	for _, v := range nodes {
+		if !k.stop[v] {
+			k.stop[v] = true
+			k.nstop++
+		}
+	}
+}
+
+// run computes the canonical distance toward the seeds into k.dist, valid
+// until the next run, with the given links degraded to Infinity latency (the
+// reroute epoch's down set, applied as a weight override and undone on
+// return). Seed distances are starting values; unreachable ones are ignored.
+// It returns the number of nodes settled.
+func (k *destKernel) run(seeds []destItem, down []topology.LinkID) int {
+	for _, v := range k.touched {
+		k.dist[v] = Unreachable
+	}
+	k.touched = k.touched[:0]
+	k.heap = k.heap[:0]
+	k.saved = k.saved[:0]
+	for _, lid := range down {
+		if lid < 0 || int(lid) >= len(k.at) || k.at[lid] < 0 {
 			continue
 		}
-		done[it.node] = true
-		for _, lid := range rev[it.node] {
-			l := g.Links[lid]
-			nd := it.d.Add(LinkLat(l))
-			if nd.Less(dist[l.Src]) {
-				dist[l.Src] = nd
-				heap.Push(&q, destItem{l.Src, nd})
+		e := k.at[lid]
+		k.saved = append(k.saved, downSave{e, k.lat[e]})
+		k.lat[e] = downLat
+	}
+	for _, s := range seeds {
+		k.relax(s.node, s.dist())
+	}
+	settled, remaining := 0, k.nstop
+	for len(k.heap) > 0 {
+		it := k.pop()
+		d := it.dist()
+		if d != k.dist[it.node] {
+			continue // superseded by a shorter entry
+		}
+		settled++
+		if remaining > 0 && k.stop[it.node] {
+			if remaining--; remaining == 0 {
+				break
 			}
 		}
+		for e := k.off[it.node]; e < k.off[it.node+1]; e++ {
+			k.relax(k.tail[e], d.Add(k.lat[e]))
+		}
 	}
-	return dist
+	// Undo in reverse so a link listed twice gets its own weight back.
+	for i := len(k.saved) - 1; i >= 0; i-- {
+		k.lat[k.saved[i].entry] = k.saved[i].lat
+	}
+	return settled
+}
+
+// relax lowers v's tentative distance to d when d is shorter.
+func (k *destKernel) relax(v int32, d Dist) {
+	cur := k.dist[v]
+	if !d.Less(cur) {
+		return
+	}
+	if cur == Unreachable {
+		k.touched = append(k.touched, v)
+	}
+	k.dist[v] = d
+	k.push(destItem{lat: d.Lat, hops: d.Hops, node: v})
+}
+
+func (k *destKernel) push(it destItem) {
+	h := append(k.heap, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = it
+	k.heap = h
+}
+
+// pop removes the minimum entry. It sinks the hole at the root to a leaf
+// along smaller children and sifts the last entry up from there: the last
+// entry nearly always belongs near the bottom, so this costs about one
+// comparison per level instead of two.
+func (k *destKernel) pop() destItem {
+	h := k.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			h[i] = h[c]
+			i = c
+		}
+		for i > 0 {
+			p := (i - 1) / 2
+			if !last.before(h[p]) {
+				break
+			}
+			h[i] = h[p]
+			i = p
+		}
+		h[i] = last
+	}
+	k.heap = h
+	return top
+}
+
+// distToNode computes the full canonical distance field toward target: one
+// unbounded run seeded at the target, copied out of the scratch field.
+func (k *destKernel) distToNode(target topology.NodeID) []Dist {
+	k.run([]destItem{{node: int32(target)}}, nil)
+	return append([]Dist(nil), k.dist...)
 }
 
 // NextHop picks the canonical next link out of n toward the target whose
@@ -135,12 +305,12 @@ func NextHop(g *topology.Graph, n topology.NodeID, dist []Dist) topology.LinkID 
 	best := topology.LinkID(-1)
 	var bd Dist
 	for _, lid := range g.Out(n) {
-		l := g.Links[lid]
+		l := &g.Links[lid]
 		hd := dist[l.Dst]
 		if !hd.Reachable() {
 			continue
 		}
-		cd := hd.Add(LinkLat(l))
+		cd := hd.Add(LinkLat(*l))
 		if best < 0 || cd.Less(bd) || (cd == bd && lid < best) {
 			best, bd = lid, cd
 		}
@@ -178,91 +348,33 @@ func WalkRoute(g *topology.Graph, src, target topology.NodeID, dist []Dist) Rout
 
 // destEngine caches per-target distance fields over one graph, the shared
 // machinery behind Matrix, Cache, and Lazy. Entries are evicted LRU; results
-// are deterministic regardless of eviction order.
+// are deterministic regardless of eviction order. The kernel is built on the
+// first miss, so a table that is never consulted costs no index.
 type destEngine struct {
-	g   *topology.Graph
-	rev [][]topology.LinkID
-
-	cap     int
-	fields  map[topology.NodeID]*destField
-	lruHead *destField
-	lruTail *destField
-}
-
-type destField struct {
-	target     topology.NodeID
-	dist       []Dist
-	prev, next *destField
+	g      *topology.Graph
+	k      *destKernel
+	fields *lru[topology.NodeID, []Dist]
+	// misses counts distance fields computed.
+	misses uint64
 }
 
 func newDestEngine(g *topology.Graph, capacity int) *destEngine {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &destEngine{
-		g: g, rev: ReverseIndex(g),
-		cap:    capacity,
-		fields: make(map[topology.NodeID]*destField),
-	}
+	return &destEngine{g: g, fields: newLRU[topology.NodeID, []Dist](capacity)}
 }
 
 // distTo returns the distance field toward target, computing and caching it
 // on a miss.
 func (e *destEngine) distTo(target topology.NodeID) []Dist {
-	if f, ok := e.fields[target]; ok {
-		e.touch(f)
-		return f.dist
+	if d, ok := e.fields.get(target); ok {
+		return d
 	}
-	f := &destField{target: target, dist: DistToNode(e.g, e.rev, target)}
-	e.fields[target] = f
-	e.pushFront(f)
-	if len(e.fields) > e.cap {
-		e.evict()
+	if e.k == nil {
+		e.k = newGraphKernel(e.g)
 	}
-	return f.dist
+	e.misses++
+	d := e.k.distToNode(target)
+	e.fields.put(target, d)
+	return d
 }
 
-func (e *destEngine) touch(f *destField) {
-	e.unlink(f)
-	e.pushFront(f)
-}
-
-func (e *destEngine) pushFront(f *destField) {
-	f.prev = nil
-	f.next = e.lruHead
-	if e.lruHead != nil {
-		e.lruHead.prev = f
-	}
-	e.lruHead = f
-	if e.lruTail == nil {
-		e.lruTail = f
-	}
-}
-
-func (e *destEngine) unlink(f *destField) {
-	if f.prev != nil {
-		f.prev.next = f.next
-	} else if e.lruHead == f {
-		e.lruHead = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	} else if e.lruTail == f {
-		e.lruTail = f.prev
-	}
-	f.prev, f.next = nil, nil
-}
-
-func (e *destEngine) evict() {
-	f := e.lruTail
-	if f == nil {
-		return
-	}
-	e.unlink(f)
-	delete(e.fields, f.target)
-}
-
-func (e *destEngine) invalidate() {
-	e.fields = make(map[topology.NodeID]*destField)
-	e.lruHead, e.lruTail = nil, nil
-}
+func (e *destEngine) invalidate() { e.fields.clear() }

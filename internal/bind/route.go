@@ -4,7 +4,6 @@ package bind
 // the bounded route cache (the paper's O(n lg n) storage alternative).
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -23,18 +22,59 @@ type pqItem struct {
 	seq  int // insertion tie-break for determinism
 }
 
+func (a pqItem) before(b pqItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	return a.seq < b.seq
+}
+
+// pq is a typed binary min-heap of frontier entries. Entries are totally
+// ordered (seq is unique), so the pop sequence is fixed.
 type pq []pqItem
 
-func (p pq) Len() int { return len(p) }
-func (p pq) Less(i, j int) bool {
-	if p[i].dist != p[j].dist {
-		return p[i].dist < p[j].dist
+func (p *pq) push(it pqItem) {
+	h := append(*p, it)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !it.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return p[i].seq < p[j].seq
+	h[i] = it
+	*p = h
 }
-func (p pq) Swap(i, j int) { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x any)   { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() any     { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
+
+func (p *pq) pop() pqItem {
+	h := *p
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*p = h
+	return top
+}
 
 // linkWeight is the routing metric: propagation latency plus a small per-hop
 // epsilon so equal-latency paths prefer fewer hops ("shortest path" in the
@@ -57,10 +97,10 @@ func ShortestPaths(g *topology.Graph, src topology.NodeID) (prevLink []topology.
 	dist[src] = 0
 	var q pq
 	seq := 0
-	heap.Push(&q, pqItem{src, 0, seq})
+	q.push(pqItem{src, 0, seq})
 	done := make([]bool, n)
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	for len(q) > 0 {
+		it := q.pop()
 		if done[it.node] {
 			continue
 		}
@@ -72,7 +112,7 @@ func ShortestPaths(g *topology.Graph, src topology.NodeID) (prevLink []topology.
 				dist[l.Dst] = nd
 				prevLink[l.Dst] = lid
 				seq++
-				heap.Push(&q, pqItem{l.Dst, nd, seq})
+				q.push(pqItem{l.Dst, nd, seq})
 			}
 		}
 	}
@@ -128,11 +168,11 @@ type Matrix struct {
 func BuildMatrix(g *topology.Graph, vnHomes []topology.NodeID) (*Matrix, error) {
 	n := len(vnHomes)
 	m := &Matrix{routes: make([][]Route, n)}
-	rev := ReverseIndex(g)
+	k := newGraphKernel(g)
 	distByHome := map[topology.NodeID][]Dist{}
 	for _, h := range vnHomes {
 		if _, ok := distByHome[h]; !ok {
-			distByHome[h] = DistToNode(g, rev, h)
+			distByHome[h] = k.distToNode(h)
 		}
 	}
 	routeByPair := map[[2]topology.NodeID]Route{}
@@ -183,39 +223,32 @@ func (m *Matrix) Routes() [][]Route { return m.routes }
 // for active flows; misses compute the canonical route on demand (§2.2)
 // from a bounded per-destination distance-field cache.
 type Cache struct {
-	g        *topology.Graph
-	vnHomes  []topology.NodeID
-	eng      *destEngine
-	capacity int
-	entries  map[[2]pipes.VN]*cacheEntry
-	lruHead  *cacheEntry
-	lruTail  *cacheEntry
+	g       *topology.Graph
+	vnHomes []topology.NodeID
+	eng     *destEngine
+	routes  *lru[[2]pipes.VN, Route]
 
 	Hits   uint64
 	Misses uint64
 }
 
-type cacheEntry struct {
-	key        [2]pipes.VN
-	route      Route
-	prev, next *cacheEntry
-}
+// RoutesPerField is how many cached routes a Cache budgets per cached
+// distance field: a Cache of capacity c keeps max(c/RoutesPerField, 4)
+// per-target fields. A caller sizing by distinct route targets t passes
+// t*RoutesPerField, so each target's field is computed once.
+const RoutesPerField = 16
 
 // NewCache builds a route cache over g with the given capacity (in routes).
 func NewCache(g *topology.Graph, vnHomes []topology.NodeID, capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	fieldCap := capacity / 16
+	fieldCap := capacity / RoutesPerField
 	if fieldCap < 4 {
 		fieldCap = 4
 	}
 	return &Cache{
-		g:        g,
-		vnHomes:  vnHomes,
-		eng:      newDestEngine(g, fieldCap),
-		capacity: capacity,
-		entries:  make(map[[2]pipes.VN]*cacheEntry),
+		g:       g,
+		vnHomes: vnHomes,
+		eng:     newDestEngine(g, fieldCap),
+		routes:  newLRU[[2]pipes.VN, Route](capacity),
 	}
 }
 
@@ -229,19 +262,13 @@ func (c *Cache) Lookup(src, dst pipes.VN) (Route, bool) {
 		return Route{}, true
 	}
 	key := [2]pipes.VN{src, dst}
-	if e, ok := c.entries[key]; ok {
+	if r, ok := c.routes.get(key); ok {
 		c.Hits++
-		c.touch(e)
-		return e.route, e.route != nil
+		return r, r != nil
 	}
 	c.Misses++
 	r := WalkRoute(c.g, c.vnHomes[src], c.vnHomes[dst], c.eng.distTo(c.vnHomes[dst]))
-	e := &cacheEntry{key: key, route: r}
-	c.entries[key] = e
-	c.pushFront(e)
-	if len(c.entries) > c.capacity {
-		c.evict()
-	}
+	c.routes.put(key, r)
 	return r, r != nil
 }
 
@@ -249,53 +276,16 @@ func (c *Cache) Lookup(src, dst pipes.VN) (Route, bool) {
 func (c *Cache) NumVNs() int { return len(c.vnHomes) }
 
 // Len reports the number of cached routes.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.routes.len() }
 
-func (c *Cache) touch(e *cacheEntry) {
-	c.unlink(e)
-	c.pushFront(e)
-}
-
-func (c *Cache) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.lruHead
-	if c.lruHead != nil {
-		c.lruHead.prev = e
-	}
-	c.lruHead = e
-	if c.lruTail == nil {
-		c.lruTail = e
-	}
-}
-
-func (c *Cache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.lruHead == e {
-		c.lruHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.lruTail == e {
-		c.lruTail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) evict() {
-	e := c.lruTail
-	if e == nil {
-		return
-	}
-	c.unlink(e)
-	delete(c.entries, e.key)
-}
+// FieldMisses reports how many per-target distance fields the cache has
+// computed: one per distinct target while they all fit.
+func (c *Cache) FieldMisses() uint64 { return c.eng.misses }
 
 // Invalidate drops all cached routes and distance fields. Call after the
 // topology's routing changes (link failure, recomputed shortest paths).
 func (c *Cache) Invalidate() {
-	c.entries = make(map[[2]pipes.VN]*cacheEntry)
-	c.lruHead, c.lruTail = nil, nil
+	c.routes.clear()
 	c.eng.invalidate()
 }
 

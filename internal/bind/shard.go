@@ -21,7 +21,6 @@ package bind
 // traversed by a packet is byte-identical to the monolithic route.
 
 import (
-	"container/heap"
 	"fmt"
 
 	"modelnet/internal/pipes"
@@ -151,12 +150,6 @@ type fieldKey struct {
 	target topology.NodeID
 }
 
-type shardField struct {
-	key        fieldKey
-	dist       []Dist // compact, indexed by ShardTable.nodeIdx
-	prev, next *shardField
-}
-
 // ShardTable is the shard-local routing table: it resolves routes over the
 // shard view, seeding distance fields with frontier summaries fetched on
 // demand (SeedFunc) and caching them per (reroute epoch, target home) in a
@@ -175,15 +168,14 @@ type ShardTable struct {
 
 	nodeIdx []int32 // dense node ID -> compact index, -1 = uncovered
 	covered []topology.NodeID
-	revIn   [][]topology.LinkID // compact dst index -> owned in-links
+	k       *destKernel // over compact indices and owned links
+	seedBuf []destItem
+	downBuf []topology.LinkID
 
 	epoch int32
 	downs []map[topology.LinkID]bool // per-epoch down link sets
 
-	cap      int
-	fields   map[fieldKey]*shardField
-	lruHead  *shardField
-	lruTail  *shardField
+	fields   *lru[fieldKey, []Dist] // compact fields, indexed by nodeIdx
 	Misses   uint64
 	SeedRPCs uint64
 }
@@ -209,8 +201,7 @@ func NewShardTable(g *topology.Graph, view *ShardView, vnHome []topology.NodeID,
 		owner:   make([]int32, view.NumLinks),
 		nodeIdx: make([]int32, view.NumNodes),
 		downs:   []map[topology.LinkID]bool{nil},
-		cap:     fieldCap,
-		fields:  make(map[fieldKey]*shardField),
+		fields:  newLRU[fieldKey, []Dist](fieldCap),
 	}
 	for i := range t.owner {
 		t.owner[i] = -1
@@ -234,13 +225,13 @@ func NewShardTable(g *topology.Graph, view *ShardView, vnHome []topology.NodeID,
 			t.covered = append(t.covered, topology.NodeID(n))
 		}
 	}
-	t.revIn = make([][]topology.LinkID, len(t.covered))
+	var owned []topology.Link
 	for i, l := range view.Links {
 		if view.LinkOwner[i] == int32(view.Shard) {
-			ci := t.nodeIdx[l.Dst]
-			t.revIn[ci] = append(t.revIn[ci], l.ID)
+			owned = append(owned, l)
 		}
 	}
+	t.k = newDestKernel(len(t.covered), view.NumLinks, owned, t.nodeIdx)
 	return t, nil
 }
 
@@ -313,21 +304,15 @@ func (t *ShardTable) field(epoch int32, target topology.NodeID) ([]Dist, error) 
 		return nil, fmt.Errorf("bind: shard %d asked for unknown reroute epoch %d (current %d)", t.shard, epoch, t.epoch)
 	}
 	key := fieldKey{epoch, target}
-	if f, ok := t.fields[key]; ok {
-		t.touch(f)
-		return f.dist, nil
+	if dist, ok := t.fields.get(key); ok {
+		return dist, nil
 	}
 	t.Misses++
 	dist, err := t.compute(epoch, target)
 	if err != nil {
 		return nil, err
 	}
-	f := &shardField{key: key, dist: dist}
-	t.fields[key] = f
-	t.pushFront(f)
-	if len(t.fields) > t.cap {
-		t.evict()
-	}
+	t.fields.put(key, dist)
 	return dist, nil
 }
 
@@ -335,19 +320,7 @@ func (t *ShardTable) field(epoch int32, target topology.NodeID) ([]Dist, error) 
 // summary nodes' exact global distances, so every covered local node ends at
 // its exact global distance (see the decomposition argument above).
 func (t *ShardTable) compute(epoch int32, target topology.NodeID) ([]Dist, error) {
-	dist := make([]Dist, len(t.covered))
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	var q destPQ
-	seed := func(n topology.NodeID, d Dist) {
-		ci := t.nodeIdx[n]
-		if ci < 0 || !d.Less(dist[ci]) {
-			return
-		}
-		dist[ci] = d
-		heap.Push(&q, destItem{n, d})
-	}
+	seeds := t.seedBuf[:0]
 	if len(t.summ) > 0 {
 		t.SeedRPCs++
 		sd, err := t.seeds(epoch, target)
@@ -358,31 +331,22 @@ func (t *ShardTable) compute(epoch int32, target topology.NodeID) ([]Dist, error
 			return nil, fmt.Errorf("bind: shard %d got %d summary seeds, want %d", t.shard, len(sd), len(t.summ))
 		}
 		for i, s := range t.summ {
-			if sd[i].Reachable() {
-				seed(s, sd[i])
+			if ci := t.nodeIdx[s]; ci >= 0 {
+				seeds = append(seeds, destItem{lat: sd[i].Lat, hops: sd[i].Hops, node: ci})
 			}
 		}
 	}
-	seed(target, Dist{})
-	done := make([]bool, len(t.covered))
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(destItem)
-		ci := t.nodeIdx[it.node]
-		if done[ci] {
-			continue
-		}
-		done[ci] = true
-		for _, lid := range t.revIn[ci] {
-			l := t.g.Links[lid]
-			nd := it.d.Add(t.weight(lid, epoch))
-			si := t.nodeIdx[l.Src]
-			if nd.Less(dist[si]) {
-				dist[si] = nd
-				heap.Push(&q, destItem{l.Src, nd})
-			}
-		}
+	if ci := t.nodeIdx[target]; ci >= 0 {
+		seeds = append(seeds, destItem{node: ci})
 	}
-	return dist, nil
+	t.seedBuf = seeds
+	down := t.downBuf[:0]
+	for lid := range t.downs[epoch] {
+		down = append(down, lid)
+	}
+	t.downBuf = down
+	t.k.run(seeds, down)
+	return append([]Dist(nil), t.k.dist...), nil
 }
 
 // routeFrom appends the canonical walk from cur toward target to r, stopping
@@ -483,150 +447,134 @@ func (t *ShardTable) Extend(r Route, epoch int32, dst pipes.VN) (Route, error) {
 // NumVNs implements Table.
 func (t *ShardTable) NumVNs() int { return len(t.vnHome) }
 
-func (t *ShardTable) touch(f *shardField) {
-	t.unlink(f)
-	t.pushFront(f)
-}
-
-func (t *ShardTable) pushFront(f *shardField) {
-	f.prev = nil
-	f.next = t.lruHead
-	if t.lruHead != nil {
-		t.lruHead.prev = f
-	}
-	t.lruHead = f
-	if t.lruTail == nil {
-		t.lruTail = f
-	}
-}
-
-func (t *ShardTable) unlink(f *shardField) {
-	if f.prev != nil {
-		f.prev.next = f.next
-	} else if t.lruHead == f {
-		t.lruHead = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	} else if t.lruTail == f {
-		t.lruTail = f.prev
-	}
-	f.prev, f.next = nil, nil
-}
-
-func (t *ShardTable) evict() {
-	f := t.lruTail
-	if f == nil {
-		return
-	}
-	t.unlink(f)
-	delete(t.fields, f.key)
-}
-
 // SummaryOracle is the coordinator-side source of frontier summaries: exact
-// global distance fields per (reroute epoch, target), over graphs with each
-// epoch's down links degraded to Infinity latency — the same degradation the
-// monolithic reroute applies. Epoch graphs and their per-target fields are
-// both kept in bounded LRUs. It serves every shard's TRouteReq; the caller
-// (the coordinator drive loop) is single-threaded, so the oracle does not
-// lock.
+// global distances from every shard's Summary nodes to a target, per
+// (reroute epoch, target), with each epoch's down links degraded to Infinity
+// latency — the same degradation the monolithic reroute applies. It serves
+// every shard's TRouteReq; the caller (the coordinator drive loop) is
+// single-threaded, so the oracle does not lock.
+//
+// A request needs distances at the summary nodes only, so each search is
+// bounded: it stops as soon as every node of the union of the shards'
+// Summary lists has settled (destKernel.stopAt), and only those union
+// distances are cached — |union| entries per (epoch, target) rather than a
+// full O(world) field.
 type SummaryOracle struct {
 	g *topology.Graph
-	// DownSet returns the links down at the given epoch (nil for epoch 0).
-	downSet  func(epoch int32) ([]topology.LinkID, error)
-	fieldCap int
-	epochCap int
-	engines  map[int32]*destEngine
-	order    []int32 // most-recently-used first
+	// downSet returns the links down at the given epoch (nil for epoch 0).
+	downSet func(epoch int32) ([]topology.LinkID, error)
+	downs   map[int32][]topology.LinkID // validated down sets, by epoch
+	k       *destKernel                 // bounded by the summary union
+	union   []int32                     // sorted union of the shards' Summary nodes
+	pos     [][]int32                   // per shard: each Summary node's index in union
+	cache   *lru[fieldKey, []Dist]      // union distances per (epoch, target)
+
+	// Computes counts bounded searches run; Settled sums the nodes they
+	// settled.
+	Computes uint64
+	Settled  uint64
 }
 
-// NewSummaryOracle builds an oracle over the full graph. downSet may be nil
-// when the run has no reroutes; epochCap bounds cached epoch graphs and
-// fieldCap the per-epoch distance fields (≤ 0 picks defaults).
-func NewSummaryOracle(g *topology.Graph, downSet func(epoch int32) ([]topology.LinkID, error), epochCap, fieldCap int) *SummaryOracle {
-	if epochCap <= 0 {
-		epochCap = 4
+// summaryCacheCap bounds the cached (epoch, target) summary vectors. Like the
+// ShardTable default it must exceed a workload's distinct paged targets.
+const summaryCacheCap = 4096
+
+// NewSummaryOracle builds an oracle over the full graph serving the shards
+// whose Summary lists are given (summaries[shard], as ShardView.Summary).
+// downSet may be nil when the run has no reroutes.
+func NewSummaryOracle(g *topology.Graph, summaries [][]topology.NodeID, downSet func(epoch int32) ([]topology.LinkID, error)) (*SummaryOracle, error) {
+	o := &SummaryOracle{
+		g: g, downSet: downSet,
+		downs: map[int32][]topology.LinkID{0: nil},
+		k:     newGraphKernel(g),
+		pos:   make([][]int32, len(summaries)),
+		cache: newLRU[fieldKey, []Dist](summaryCacheCap),
 	}
-	if fieldCap <= 0 {
-		// Same lazy-materialization argument as NewShardTable: the cap must
-		// exceed the workload's distinct paged targets or every TRouteReq
-		// rebuilds a field.
-		fieldCap = 4096
+	inUnion := make([]bool, g.NumNodes())
+	for _, nodes := range summaries {
+		for _, n := range nodes {
+			if n < 0 || int(n) >= g.NumNodes() {
+				return nil, fmt.Errorf("bind: summary node %d out of range", n)
+			}
+			inUnion[n] = true
+		}
 	}
-	return &SummaryOracle{g: g, downSet: downSet, fieldCap: fieldCap, epochCap: epochCap, engines: map[int32]*destEngine{}}
+	unionIdx := make([]int32, g.NumNodes())
+	for n, in := range inUnion {
+		if in {
+			unionIdx[n] = int32(len(o.union))
+			o.union = append(o.union, int32(n))
+		}
+	}
+	for s, nodes := range summaries {
+		o.pos[s] = make([]int32, len(nodes))
+		for i, n := range nodes {
+			o.pos[s][i] = unionIdx[n]
+		}
+	}
+	o.k.stopAt(o.union)
+	return o, nil
 }
 
-// engine returns the per-epoch distance engine, building the epoch's
-// degraded graph on first use.
-func (o *SummaryOracle) engine(epoch int32) (*destEngine, error) {
-	if e, ok := o.engines[epoch]; ok {
-		for i, ep := range o.order {
-			if ep == epoch {
-				o.order = append(o.order[:i], o.order[i+1:]...)
-				break
-			}
-		}
-		o.order = append([]int32{epoch}, o.order...)
-		return e, nil
+// down returns the epoch's validated down set.
+func (o *SummaryOracle) down(epoch int32) ([]topology.LinkID, error) {
+	if d, ok := o.downs[epoch]; ok {
+		return d, nil
 	}
-	g := o.g
-	if epoch > 0 {
-		if o.downSet == nil {
-			return nil, fmt.Errorf("bind: summary oracle has no down-set source for epoch %d", epoch)
-		}
-		down, err := o.downSet(epoch)
-		if err != nil {
-			return nil, err
-		}
-		if len(down) > 0 {
-			g = g.Clone()
-			for _, lid := range down {
-				if lid < 0 || int(lid) >= len(g.Links) {
-					return nil, fmt.Errorf("bind: epoch %d down link %d out of range", epoch, lid)
-				}
-				g.Links[lid].Attr.LatencySec = InfinityLatencySec
-			}
-		}
-	} else if epoch < 0 {
+	if epoch < 0 {
 		return nil, fmt.Errorf("bind: negative reroute epoch %d", epoch)
 	}
-	e := newDestEngine(g, o.fieldCap)
-	o.engines[epoch] = e
-	o.order = append([]int32{epoch}, o.order...)
-	if len(o.order) > o.epochCap {
-		victim := o.order[len(o.order)-1]
-		o.order = o.order[:len(o.order)-1]
-		delete(o.engines, victim)
+	if o.downSet == nil {
+		return nil, fmt.Errorf("bind: summary oracle has no down-set source for epoch %d", epoch)
 	}
-	return e, nil
-}
-
-// Seeds returns the global distances from the given nodes to target at the
-// given epoch, in the given order.
-func (o *SummaryOracle) Seeds(epoch int32, target topology.NodeID, nodes []topology.NodeID) ([]Dist, error) {
-	if target < 0 || int(target) >= o.g.NumNodes() {
-		return nil, fmt.Errorf("bind: summary target node %d out of range", target)
-	}
-	e, err := o.engine(epoch)
+	d, err := o.downSet(epoch)
 	if err != nil {
 		return nil, err
 	}
-	dist := e.distTo(target)
-	out := make([]Dist, len(nodes))
-	for i, n := range nodes {
-		if n < 0 || int(n) >= len(dist) {
-			return nil, fmt.Errorf("bind: summary node %d out of range", n)
+	for _, lid := range d {
+		if lid < 0 || int(lid) >= o.g.NumLinks() {
+			return nil, fmt.Errorf("bind: epoch %d down link %d out of range", epoch, lid)
 		}
-		out[i] = dist[n]
+	}
+	o.downs[epoch] = d
+	return d, nil
+}
+
+// Seeds returns the global distances from the given shard's Summary nodes to
+// target at the given epoch, in Summary order.
+func (o *SummaryOracle) Seeds(epoch int32, target topology.NodeID, shard int) ([]Dist, error) {
+	if target < 0 || int(target) >= o.g.NumNodes() {
+		return nil, fmt.Errorf("bind: summary target node %d out of range", target)
+	}
+	if shard < 0 || shard >= len(o.pos) {
+		return nil, fmt.Errorf("bind: summary request from unknown shard %d", shard)
+	}
+	key := fieldKey{epoch, target}
+	ud, ok := o.cache.get(key)
+	if !ok {
+		down, err := o.down(epoch)
+		if err != nil {
+			return nil, err
+		}
+		o.Computes++
+		o.Settled += uint64(o.k.run([]destItem{{node: int32(target)}}, down))
+		ud = make([]Dist, len(o.union))
+		for i, n := range o.union {
+			ud[i] = o.k.dist[n]
+		}
+		o.cache.put(key, ud)
+	}
+	out := make([]Dist, len(o.pos[shard]))
+	for i, u := range o.pos[shard] {
+		out[i] = ud[u]
 	}
 	return out, nil
 }
 
-// SeedFuncFor adapts the oracle to one shard's Summary node list — the
-// in-process SeedFunc used by tests and same-process federations.
-func (o *SummaryOracle) SeedFuncFor(nodes []topology.NodeID) SeedFunc {
-	fixed := append([]topology.NodeID(nil), nodes...)
+// SeedFuncFor adapts the oracle to one shard — the in-process SeedFunc used
+// by tests and same-process federations.
+func (o *SummaryOracle) SeedFuncFor(shard int) SeedFunc {
 	return func(epoch int32, target topology.NodeID) ([]Dist, error) {
-		return o.Seeds(epoch, target, fixed)
+		return o.Seeds(epoch, target, shard)
 	}
 }

@@ -144,9 +144,16 @@ func TestShardRoutesMatchGlobalMatrix(t *testing.T) {
 				}
 				downs = append(downs, d)
 			}
-			oracle := bind.NewSummaryOracle(g, func(epoch int32) ([]topology.LinkID, error) {
+			summaries := make([][]topology.NodeID, k)
+			for o := range summaries {
+				summaries[o] = views[o].Summary
+			}
+			oracle, err := bind.NewSummaryOracle(g, summaries, func(epoch int32) ([]topology.LinkID, error) {
 				return downs[epoch], nil
-			}, 0, 0)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			tables := make([]*bind.ShardTable, k)
 			for o := 0; o < k; o++ {
@@ -154,7 +161,7 @@ func TestShardRoutesMatchGlobalMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tables[o], err = bind.NewShardTable(skel, views[o], clients, oracle.SeedFuncFor(views[o].Summary), 0)
+				tables[o], err = bind.NewShardTable(skel, views[o], clients, oracle.SeedFuncFor(o), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -244,5 +251,45 @@ func TestBuildShardViewsRejectsNonSourceOwnership(t *testing.T) {
 	nodeOwner := make([]int, g.NumNodes())
 	if _, err := bind.BuildShardViews(g, asn.Owner, nodeOwner, 2); err == nil {
 		t.Fatal("expected source-ownership violation to be rejected")
+	}
+}
+
+// TestSummaryOracleBoundedSearchCounts is a noise-free guard on the oracle's
+// cost: on the benchmarks' k-clusters-sharded transit-stub, each (epoch,
+// target) is searched at most once however many shards ask, and a bounded
+// search settles fewer than half of the graph's nodes.
+func TestSummaryOracleBoundedSearchCounts(t *testing.T) {
+	g, _, views := tstubWorld(t)
+	summaries := make([][]topology.NodeID, len(views))
+	for o := range summaries {
+		summaries[o] = views[o].Summary
+	}
+	downs := [][]topology.LinkID{nil, {0, 1}}
+	oracle, err := bind.NewSummaryOracle(g, summaries, func(e int32) ([]topology.LinkID, error) { return downs[e], nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients := g.Clients()
+	var targets []topology.NodeID
+	for i := 0; i < len(clients); i += 97 {
+		targets = append(targets, clients[i])
+	}
+	for rep := 0; rep < 2; rep++ {
+		for e := range downs {
+			for _, tg := range targets {
+				for o := range views {
+					if _, err := oracle.Seeds(int32(e), tg, o); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	if want := uint64(len(targets) * len(downs)); oracle.Computes != want {
+		t.Errorf("%d searches for %d distinct (epoch, target) pairs", oracle.Computes, want)
+	}
+	mean := float64(oracle.Settled) / float64(oracle.Computes)
+	if mean >= float64(g.NumNodes())/2 {
+		t.Errorf("bounded search settles %.0f of %d nodes on average, want fewer than half", mean, g.NumNodes())
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"modelnet/internal/apps/chord"
 	"modelnet/internal/apps/gnutella"
 	"modelnet/internal/apps/webrepl"
+	"modelnet/internal/bind"
 	"modelnet/internal/dynamics"
 	"modelnet/internal/fednet"
 	"modelnet/internal/netstack"
@@ -747,10 +748,12 @@ func WithSync(m modelnet.SyncMode) RunOpt {
 }
 
 // WithRouteCache replaces the local runner's precomputed O(n²) routing
-// matrix with an on-demand per-target cache of the given capacity. Large
-// populations (the tstub-cbr scale configs) are unrunnable without it.
+// matrix with an on-demand per-target cache holding the distance fields of
+// up to targets distinct destinations, so a workload with at most that many
+// targets computes each field once. Large populations (the tstub-cbr scale
+// configs) are unrunnable without it.
 func WithRouteCache(targets int) RunOpt {
-	return func(o *runOpts) { o.routeCache = targets }
+	return func(o *runOpts) { o.routeCache = targets * bind.RoutesPerField }
 }
 
 // WithFedOptions lets a caller adjust the assembled fednet.Options of a

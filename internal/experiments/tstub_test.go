@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"modelnet"
+	"modelnet/internal/bind"
 	"modelnet/internal/fednet"
 	"modelnet/internal/fednet/wire"
 )
@@ -29,6 +30,34 @@ func tstubSmallSpec() TStubCBRSpec {
 		PacketBytes:      600,
 		DurationSec:      1.5,
 		Seed:             51,
+	}
+}
+
+// TestWithRouteCacheComputesEachTargetOnce pins WithRouteCache's unit: a
+// cache sized for the workload's distinct targets (the tstub-cbr servers)
+// computes each target's distance field exactly once over a whole run.
+func TestWithRouteCacheComputesEachTargetOnce(t *testing.T) {
+	spec := tstubSmallSpec()
+	o := applyRunOpts([]RunOpt{WithRouteCache(spec.Servers)})
+	ideal := modelnet.IdealProfile()
+	em, err := modelnet.Run(spec.Topology(), modelnet.Options{Profile: &ideal, Seed: spec.Seed, RouteCache: o.routeCache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Install(em.NumVNs(), allHomed, em.NewHost, em.SchedulerOf); err != nil {
+		t.Fatal(err)
+	}
+	em.RunFor(spec.RunFor())
+	if em.Totals().Delivered == 0 {
+		t.Fatal("run delivered nothing")
+	}
+	c, ok := em.Binding.Table.(*bind.Cache)
+	if !ok {
+		t.Fatalf("route table is %T, want *bind.Cache", em.Binding.Table)
+	}
+	servers, _ := spec.plan(em.NumVNs())
+	if got := c.FieldMisses(); got != uint64(len(servers)) {
+		t.Errorf("computed %d distance fields for %d targets", got, len(servers))
 	}
 }
 

@@ -445,7 +445,6 @@ func Run(opts Options) (*Report, error) {
 		}
 	}
 	var oracle *bind.SummaryOracle
-	var summaries [][]topology.NodeID
 	// cfgFor closes over the mutable addrs slice: a respawned worker's
 	// regenerated setup carries the fleet's *current* endpoints (DataAddrs
 	// only feed openDataPlane, never the deterministic emulation state, so a
@@ -475,23 +474,28 @@ func Run(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fednet: %w", err)
 		}
-		oracle = bind.NewSummaryOracle(dist.Graph, func(epoch int32) ([]topology.LinkID, error) {
+		summaries := make([][]topology.NodeID, len(views))
+		for i, v := range views {
+			summaries[i] = v.Summary
+		}
+		oracle, err = bind.NewSummaryOracle(dist.Graph, summaries, func(epoch int32) ([]topology.LinkID, error) {
 			if int(epoch) >= len(downSets) {
 				return nil, fmt.Errorf("fednet: reroute epoch %d outside the enumerated schedule (%d epochs)", epoch, len(downSets))
 			}
 			return downSets[epoch], nil
-		}, 0, 0)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fednet: %w", err)
+		}
 		world := wire.World{VNHome: make([]int32, bnd.NumVNs()), Homes: make([]int32, bnd.NumVNs())}
 		for v, n := range bnd.VNHome {
 			world.VNHome[v] = int32(n)
 			world.Homes[v] = int32(homes[v])
 		}
 		worldBin := wire.EncodeWorld(world)
-		summaries = make([][]topology.NodeID, opts.Cores)
 		viewBins := make([][]byte, opts.Cores)
 		for i := range views {
 			viewBins[i] = wire.EncodeShardView(views[i])
-			summaries[i] = views[i].Summary
 		}
 		sendSetup = func(i int, c net.Conn) error {
 			cfgJSON, err := cfgFor(i)
@@ -558,7 +562,7 @@ func Run(opts Options) (*Report, error) {
 	}
 	tr := &coordTransport{
 		conns: conns, timeout: opts.Timeout, metrics: metrics, piggy: piggy, chain: chain,
-		oracle: oracle, summaries: summaries, spawned: spawned,
+		oracle: oracle, spawned: spawned,
 	}
 	tr.init(opts.Cores)
 	if opts.Recover {
@@ -829,13 +833,12 @@ type coordTransport struct {
 	// senders' cumulative counters is j's in-flight message count.
 	acked []uint64
 
-	// oracle and summaries serve demand-paged route summaries under sharded
+	// oracle serves demand-paged route summaries under sharded
 	// distribution: a worker that misses a destination in its ShardTable
 	// sends TRouteReq on the control conn; read answers inline, so the RPC
 	// is always served while the coordinator awaits that worker's next
 	// protocol reply (a worker only pages routes while running its window).
-	oracle    *bind.SummaryOracle
-	summaries [][]topology.NodeID
+	oracle *bind.SummaryOracle
 
 	// rec, when non-nil, is the checkpoint/restart engine (Options.Recover):
 	// it logs every barrier round, stores checkpoint digests, and replays a
@@ -945,7 +948,7 @@ func (t *coordTransport) read(i int) (uint8, []byte, error) {
 			if err != nil {
 				return 0, nil, fmt.Errorf("fednet: shard %d route req: %w", i, err)
 			}
-			dists, err := t.oracle.Seeds(m.Epoch, topology.NodeID(m.Target), t.summaries[i])
+			dists, err := t.oracle.Seeds(m.Epoch, topology.NodeID(m.Target), i)
 			if err != nil {
 				return 0, nil, fmt.Errorf("fednet: shard %d route req (epoch %d, target %d): %w", i, m.Epoch, m.Target, err)
 			}

@@ -26,7 +26,6 @@ package parcore
 // ahead of one adjacent to it.
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -793,13 +792,13 @@ func buildShardPlan(g *topology.Graph, b *bind.Binding, homes []int, owner []int
 			for _, t := range crossTo[x] {
 				if t == j {
 					val[x] = cost[x]
-					heap.Push(&pq, pqItem{x, cost[x]})
+					pq.push(pqItem{x, cost[x]})
 					break
 				}
 			}
 		}
 		for len(pq) > 0 {
-			it := heap.Pop(&pq).(pqItem)
+			it := pq.pop()
 			if it.d > val[it.x] {
 				continue
 			}
@@ -807,7 +806,7 @@ func buildShardPlan(g *topology.Graph, b *bind.Binding, homes []int, owner []int
 				p := int(pi)
 				if nv := satDurAdd(cost[p], it.d); nv < val[p] {
 					val[p] = nv
-					heap.Push(&pq, pqItem{p, nv})
+					pq.push(pqItem{p, nv})
 				}
 			}
 		}
@@ -848,7 +847,9 @@ func buildShardPlan(g *topology.Graph, b *bind.Binding, homes []int, owner []int
 	return plan
 }
 
-// pqItem / distPQ: the reverse-Dijkstra frontier (lazy deletion).
+// pqItem / distPQ: the reverse-Dijkstra frontier (lazy deletion), a typed
+// binary min-heap on d. Crossing distances are unique whatever the pop order
+// among equal d, so the plan does not depend on it.
 type pqItem struct {
 	x int
 	d vtime.Duration
@@ -856,11 +857,48 @@ type pqItem struct {
 
 type distPQ []pqItem
 
-func (q distPQ) Len() int           { return len(q) }
-func (q distPQ) Less(i, j int) bool { return q[i].d < q[j].d }
-func (q distPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *distPQ) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *distPQ) Pop() any          { old := *q; it := old[len(old)-1]; *q = old[:len(old)-1]; return it }
+func (q *distPQ) push(it pqItem) {
+	h := append(*q, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].d <= it.d {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = it
+	*q = h
+}
+
+func (q *distPQ) pop() pqItem {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].d < h[c].d {
+				c = r
+			}
+			if h[c].d >= last.d {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
+}
 
 // ShardBounds computes one shard's Bounds from its live state: Next is its
 // next event time; Safe bounds the earliest future cross-shard message it
