@@ -9,9 +9,10 @@
 //   - Gateway is the live edge: a real UDP socket on a federation worker
 //     through which real, unmodified processes exchange datagrams with the
 //     virtual network. A bind.GatewayTable maps each real five-tuple onto
-//     an ingress VN; arrivals are admitted into virtual time only at
-//     synchronization barriers, stamped at the arrival window's edge, and
-//     deliveries to gateway-backed VNs are written back out the real
+//     an ingress VN; arrivals are snapshotted when a barrier step begins
+//     and admitted into virtual time after that step's window, stamped no
+//     earlier than any shard's grant, and deliveries to gateway-backed VNs
+//     are written back out the real
 //     socket. Under real-time pacing (parcore.Pacing) this realizes the
 //     paper's headline claim — unmodified applications observing emulated
 //     latency and loss — end to end; see DESIGN.md §4 for the timing

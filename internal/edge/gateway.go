@@ -8,16 +8,16 @@ package edge
 // replies delivered to the ingress VN are written back out the real socket
 // to the bound external endpoint.
 //
-// Timing discipline: real arrivals are queued by a reader goroutine and
-// admitted into virtual time only at synchronization barriers (Admit),
-// stamped at the arrival window's edge — never mid-window, so the
-// conservative synchronization protocol (parcore.Drive) stays sound. The
-// stamp is max(local clock, the coordinator-supplied floor), the latter
-// being the maximum clock over all shards, so an admission can never fire
-// before a peer shard's clock (the EOT invariant). Under real-time pacing
-// the window edge trails the wall-clock arrival by at most one pacing
-// quantum plus a barrier round, which is the gateway's ingress timestamp
-// error; see DESIGN.md §4.
+// Timing discipline: real arrivals are queued by a reader goroutine,
+// snapshotted when a barrier step begins (Take), and admitted into virtual
+// time after that step's window has run (Arrivals.Admit) — never
+// mid-window, so the conservative synchronization protocol (parcore.Drive)
+// stays sound. The stamp is max(local clock, the coordinator-supplied
+// floor), the floor being no lower than any peer shard's grant for the
+// step, so an admission can never fire before a peer shard's clock (the EOT
+// invariant). Under real-time pacing the stamp trails the wall-clock arrival
+// by at most one pacing quantum plus one step round, which is the gateway's
+// ingress timestamp error; see DESIGN.md §4.
 
 import (
 	"fmt"
@@ -159,7 +159,8 @@ type Gateway struct {
 // ingress VN is homed (per the predicate; pass nil to accept all). host
 // supplies the netstack stack of a homed VN, and sched the virtual-time
 // scheduler admissions run on. The gateway's reader goroutine starts
-// immediately, but nothing enters virtual time until Admit is called.
+// immediately, but nothing enters virtual time until a Take snapshot is
+// admitted.
 func NewGateway(cfg GatewayConfig, homed func(pipes.VN) bool, host func(pipes.VN) *netstack.Host, sched *vtime.Scheduler) (*Gateway, error) {
 	if homed == nil {
 		homed = func(pipes.VN) bool { return true }
@@ -312,38 +313,55 @@ func (g *Gateway) read() {
 	}
 }
 
-// Admit schedules every queued real arrival as a virtual-time ingress
-// event. Call it only at synchronization barriers, on the scheduler's
-// goroutine. Each datagram is re-sent from its ingress VN's gateway socket
-// at stamp = max(now, floor) — the arrival window's edge; floor is the
-// coordinator's global clock bound (the maximum shard clock), which keeps
-// admissions from firing before any peer shard's present. Returns the
-// number of datagrams admitted.
-func (g *Gateway) Admit(floor vtime.Time) int {
+// Arrivals is a snapshot of a gateway's queued real arrivals, taken when a
+// barrier step begins (Take) and admitted into virtual time once the step's
+// window has run (Admit). Arrivals that reach the socket after the snapshot
+// stay queued for the next step.
+type Arrivals struct {
+	g     *Gateway
+	batch []pendingDatagram
+}
+
+// Take snapshots and clears the arrival queue. Call it on the scheduler's
+// goroutine, at the start of a barrier step.
+func (g *Gateway) Take() Arrivals {
 	g.mu.Lock()
-	batch := g.pending
+	defer g.mu.Unlock()
+	a := Arrivals{g: g, batch: g.pending}
 	g.pending = nil
-	g.stats.IngressPkts += uint64(len(batch))
-	for _, p := range batch {
+	return a
+}
+
+// Admit schedules the snapshot's arrivals as virtual-time ingress events.
+// Call it only at synchronization barriers, on the scheduler's goroutine.
+// Each datagram is re-sent from its ingress VN's gateway socket at stamp =
+// max(now, floor); floor is the coordinator's bound on every peer shard's
+// progress (DESIGN.md §4), which keeps admissions from firing before any
+// peer shard's present. Returns the number of datagrams admitted.
+func (a Arrivals) Admit(floor vtime.Time) int {
+	if len(a.batch) == 0 {
+		return 0
+	}
+	g := a.g
+	g.mu.Lock()
+	g.stats.IngressPkts += uint64(len(a.batch))
+	for _, p := range a.batch {
 		g.stats.IngressBytes += uint64(len(p.data))
 	}
 	g.mu.Unlock()
-	if len(batch) == 0 {
-		return 0
-	}
 	at := g.sched.Now()
 	if floor > at {
 		at = floor
 	}
-	for _, p := range batch {
+	for _, p := range a.batch {
 		e := g.entries[p.vn]
 		data := p.data
 		g.sched.At(at, func() { e.sock.SendBytes(e.dst, data) })
 	}
-	return len(batch)
+	return len(a.batch)
 }
 
-// Pending reports how many real arrivals are queued for the next barrier.
+// Pending reports how many real arrivals are queued for the next snapshot.
 func (g *Gateway) Pending() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -77,7 +77,7 @@ func TestGatewaySequentialRoundTrip(t *testing.T) {
 
 	// Admit at the "barrier" and run the virtual clock: VN0 -> VN1 echo ->
 	// VN0, whose delivery egresses out the real socket.
-	if n := gw.Admit(0); n != 1 {
+	if n := gw.Take().Admit(0); n != 1 {
 		t.Fatalf("admitted %d datagrams, want 1", n)
 	}
 	em.RunFor(modelnet.Seconds(1))
@@ -113,7 +113,7 @@ func TestGatewayAdmitStampsAtFloor(t *testing.T) {
 	// A floor ahead of the local clock pushes the ingress into the future:
 	// nothing may fire before it.
 	floor := modelnet.Seconds(0.5)
-	gw.Admit(modelnet.Time(0).Add(floor))
+	gw.Take().Admit(modelnet.Time(0).Add(floor))
 	em.RunFor(modelnet.Seconds(0.4))
 	if st := gw.Stats(); st.EgressPkts != 0 {
 		t.Fatalf("egress before the floor: %+v", st)
@@ -121,5 +121,56 @@ func TestGatewayAdmitStampsAtFloor(t *testing.T) {
 	em.RunFor(modelnet.Seconds(0.2))
 	if st := gw.Stats(); st.EgressPkts != 1 {
 		t.Fatalf("egress after the floor: %+v, want 1", st)
+	}
+}
+
+// TestGatewayAdmitsOnlyTheSnapshot pins the step ordering a federated worker
+// relies on: arrivals queued before Take are admitted at the floor after the
+// window runs, and an arrival that lands after the snapshot waits for the
+// next step's snapshot.
+func TestGatewayAdmitsOnlyTheSnapshot(t *testing.T) {
+	em, gw := liveStar(t, edge.GatewayConfig{
+		Listen: "127.0.0.1:0",
+		Maps:   []edge.GatewayMap{{VN: 0, DstVN: 1, DstPort: 7}},
+	})
+	client, err := net.Dial("udp", gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.Write([]byte("early"))
+	waitPending(t, gw, 1)
+
+	// Step 1 begins: snapshot, then the window runs, then a late arrival.
+	snap := gw.Take()
+	em.RunFor(modelnet.Seconds(0.1))
+	client.Write([]byte("late"))
+	waitPending(t, gw, 1)
+	floor := modelnet.Time(0).Add(modelnet.Seconds(0.2))
+	if n := snap.Admit(floor); n != 1 {
+		t.Fatalf("step 1 admitted %d datagrams, want only the snapshotted one", n)
+	}
+	if gw.Pending() != 1 {
+		t.Fatalf("late arrival not left queued: %d pending", gw.Pending())
+	}
+	if st := gw.Stats(); st.IngressPkts != 1 {
+		t.Fatalf("ingress after step 1: %+v, want 1", st)
+	}
+	// Nothing fires before the floor, even though the local clock is behind.
+	em.RunFor(modelnet.Seconds(0.09))
+	if st := gw.Stats(); st.EgressPkts != 0 {
+		t.Fatalf("egress before the floor: %+v", st)
+	}
+	em.RunFor(modelnet.Seconds(1))
+	if st := gw.Stats(); st.EgressPkts != 1 {
+		t.Fatalf("egress after step 1: %+v, want only the early datagram", st)
+	}
+	// Step 2's snapshot carries the late arrival.
+	if n := gw.Take().Admit(0); n != 1 {
+		t.Fatalf("step 2 admitted %d datagrams, want the late one", n)
+	}
+	em.RunFor(modelnet.Seconds(1))
+	if st := gw.Stats(); st.IngressPkts != 2 || st.EgressPkts != 2 {
+		t.Fatalf("counters after step 2: %+v, want 2 in / 2 out", st)
 	}
 }

@@ -134,6 +134,46 @@ func TestCrashRecoveryCFSRing(t *testing.T) {
 	sameCDF(t, "cfs-ring crash recovery", seq.Deliveries, sampleOf(fed))
 }
 
+// TestPacedSigkillRecovery: a wall-clock-paced run recovers like any other.
+// The wall clock only picks the grants, and the grants travel in the logged
+// step bodies, so a worker SIGKILLed mid-run is replayed back and the run
+// ends with the same counters as the same paced run without the crash.
+func TestPacedSigkillRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns and kills worker subprocesses in real time")
+	}
+	spec := RingCBRSpec{Routers: 8, VNsPerRouter: 2, PacketsPerSec: 200, PacketBytes: 500, DurationSec: 0.5, Seed: 5}
+	paced := func(fail *fednet.FailSpec) *fednet.Report {
+		t.Helper()
+		rep, err := RunRingCBRFederated(spec, 2, fednet.DataUDP, WithFedOptions(func(o *fednet.Options) {
+			o.RealTime, o.Pace = true, modelnet.Seconds(0.001)
+			o.Recover = fail != nil
+			o.FailSpec = fail
+		}))
+		if err != nil {
+			t.Fatalf("paced run (fail %+v): %v", fail, err)
+		}
+		return rep
+	}
+	want := paced(nil)
+	if want.Totals.Delivered == 0 || want.Sync.Messages == 0 {
+		t.Fatalf("paced baseline is vacuous: %d delivered, %d cross-core messages", want.Totals.Delivered, want.Sync.Messages)
+	}
+	got := paced(&fednet.FailSpec{Shard: 1, Round: 50, Mode: fednet.FailSigkill})
+	if got.Recoveries != 1 {
+		t.Fatalf("%d recoveries, want 1", got.Recoveries)
+	}
+	if got.Totals != want.Totals {
+		t.Errorf("totals diverge:\n uncrashed %+v\n recovered %+v", want.Totals, got.Totals)
+	}
+	if !equalU64(want.PipeDrops, got.PipeDrops) {
+		t.Errorf("per-pipe drops diverge:\n uncrashed %v\n recovered %v", want.PipeDrops, got.PipeDrops)
+	}
+	if !equalU64(want.DropsByReason, got.DropsByReason) {
+		t.Errorf("drop taxonomy diverges:\n uncrashed %v\n recovered %v", want.DropsByReason, got.DropsByReason)
+	}
+}
+
 // TestFednetCrashRowRecorded drives the scaling study's crash-row helper at
 // a small size: the BENCH_fednet.json artifact must carry a row with the
 // recoveries and recovery_wall_ns columns filled and counters matching the

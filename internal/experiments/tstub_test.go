@@ -142,7 +142,7 @@ func TestShardedDistributionScales(t *testing.T) {
 	totalLinks := g.NumLinks()
 	// What the pre-sharding coordinator would have shipped to every worker:
 	// the whole distilled topology plus the full link assignment.
-	monolithic := len(wire.EncodeTopology(g)) + len(wire.EncodeAssignment(make([]int, totalLinks), 2))
+	monolithic := len(encodeTopology(g)) + len(encodeAssignment(make([]int, totalLinks), 2))
 
 	fed, err := RunTStubCBRFederated(spec, 2, fednet.DataTCP)
 	if err != nil {
@@ -185,4 +185,39 @@ func TestShardedDistributionScales(t *testing.T) {
 	if sumPipes < totalLinks {
 		t.Errorf("workers together materialized %d pipes < %d links — part of the world went unemulated", sumPipes, totalLinks)
 	}
+}
+
+// encodeTopology and encodeAssignment are the retired monolithic setup
+// codecs, kept as TestShardedDistributionScales' yardstick: the whole
+// distilled topology (per node a kind byte and a length-prefixed name, per
+// link its endpoints and bit-exact attributes) and the full pipe->core
+// assignment, as every worker once received them.
+func encodeTopology(g *modelnet.Graph) []byte {
+	var e wire.Enc
+	e.U32(uint32(g.NumNodes()))
+	for _, n := range g.Nodes {
+		e.U8(uint8(n.Kind))
+		e.Str(n.Name)
+	}
+	e.U32(uint32(g.NumLinks()))
+	for _, l := range g.Links {
+		e.U32(uint32(l.Src))
+		e.U32(uint32(l.Dst))
+		e.F64(l.Attr.BandwidthBps)
+		e.F64(l.Attr.LatencySec)
+		e.F64(l.Attr.LossRate)
+		e.I32(int32(l.Attr.QueuePkts))
+		e.F64(l.Attr.Cost)
+	}
+	return e.Bytes()
+}
+
+func encodeAssignment(owner []int, cores int) []byte {
+	var e wire.Enc
+	e.U32(uint32(cores))
+	e.U32(uint32(len(owner)))
+	for _, o := range owner {
+		e.U32(uint32(o))
+	}
+	return e.Bytes()
 }

@@ -55,10 +55,8 @@ type Options struct {
 	Profile *emucore.Profile
 	// Distill selects the distillation mode (zero value = hop-by-hop).
 	Distill distill.Spec
-	// EdgeNodes, RouteCache, Hierarchical mirror modelnet.Options.
-	EdgeNodes    int
-	RouteCache   int
-	Hierarchical bool
+	// EdgeNodes mirrors modelnet.Options.EdgeNodes.
+	EdgeNodes int
 
 	// RunFor is the virtual time to emulate. Zero or negative runs to
 	// global quiescence.
@@ -67,10 +65,8 @@ type Options struct {
 	// Sync selects the synchronization algebra: adaptive per-shard window
 	// grants derived from the cluster's queue horizon (the default), or the
 	// fixed uniform-lookahead windows kept as the measurement baseline and
-	// escape hatch (CLI: -sync=fixed). Local-only runs additionally fuse the
-	// three per-window control round trips (flush, sync, window) into one
-	// TStep round; live-edge and real-time runs keep the split protocol,
-	// because gateway admission must precede the bounds grants derive from.
+	// escape hatch (CLI: -sync=fixed). Either way every window is one fused
+	// TStep control round trip (await, apply, run, admit, flush).
 	Sync parcore.SyncMode
 
 	// Dynamics, when non-nil, is the link-dynamics spec: the coordinator
@@ -86,16 +82,11 @@ type Options struct {
 	// (default; the paper's IP-in-UDP tunnels) or DataTCP (lossless
 	// fallback for links that may drop datagrams).
 	DataPlane string
-	// NoBatch reverts the data plane to one frame (and one syscall) per
-	// tunnel message. By default each window's messages per peer coalesce
-	// into MTU-bounded MsgBatch frames, which is what makes cross-core
-	// cost per-window instead of per-packet; this is the escape hatch
-	// (CLI: -batch=0).
-	NoBatch bool
-	// MaxDatagram bounds one UDP data-plane frame in bytes, batches
-	// chunked to fit. 0 means DefaultMaxDatagram; a single message larger
-	// than the bound fails the run loudly (the kernel would otherwise
-	// truncate or drop the datagram silently).
+	// MaxDatagram bounds one UDP data-plane frame in bytes: each window's
+	// messages per peer coalesce into batch frames chunked to fit. 0 means
+	// DefaultMaxDatagram; a single message larger than the bound fails the
+	// run loudly (the kernel would otherwise truncate or drop the datagram
+	// silently).
 	MaxDatagram int
 	// Spawn, when true, re-executes the current binary Cores times as
 	// local workers (MaybeRunWorker must run early in its main). When
@@ -111,11 +102,12 @@ type Options struct {
 	// every worker: real UDP sockets at the emulation's boundary, mapped
 	// onto ingress VNs (internal/edge). Each worker instantiates only the
 	// mappings homed on its shard; the bound real addresses are reported
-	// through OnLive. Live runs usually also want RealTime.
+	// through OnLive. Requires RealTime: only pacing keeps window grants,
+	// and so ingress stamps, near the wall clock.
 	Edge *edge.GatewayConfig
 	// RealTime slaves window release to the wall clock (parcore.Pacing):
 	// virtual nanoseconds map 1:1 onto wall nanoseconds, the paper's
-	// 10 kHz-timer role. Required for live edge traffic to experience
+	// 10 kHz-timer role. Required by Edge, so live traffic experiences
 	// emulated delays in real time; requires a finite RunFor.
 	RealTime bool
 	// Pace is the real-time pacing quantum (0 = parcore.DefaultPaceQuantum).
@@ -135,8 +127,10 @@ type Options struct {
 	// per-shard state digests every CkptEvery step rounds, and a worker
 	// whose control connection dies mid-run is respawned and replayed back
 	// to the crash point instead of failing the run. Requires Spawn (the
-	// coordinator owns the respawn) and the fused step protocol (no live
-	// edge, no real-time pacing — wall-clock state cannot be replayed).
+	// coordinator owns the respawn) and no Edge: gateway admissions are
+	// wall-clock facts that are not in the round log. Paced runs recover —
+	// the wall clock only picks the grants, and the grants travel in the
+	// logged rounds.
 	Recover bool
 	// CkptEvery is the checkpoint period in step rounds (default
 	// DefaultCkptEvery). Checkpoints are determinism anchors: a recovering
@@ -149,8 +143,8 @@ type Options struct {
 	// DefaultMaxRecoveries); the run fails once exhausted.
 	MaxRecoveries int
 	// FailSpec, when non-nil, plants a fault: worker Shard dies at step
-	// round Round (the crash-sweep harness). Requires the fused step
-	// protocol; sigkill mode additionally requires Spawn.
+	// round Round (the crash-sweep harness). Refused with Edge, like
+	// Recover; sigkill mode additionally requires Spawn.
 	FailSpec *FailSpec
 
 	// Trace has every worker record a virtual-time packet trace and stream
@@ -191,12 +185,20 @@ func (o *Options) defaults() error {
 	if o.RealTime && o.RunFor <= 0 {
 		return fmt.Errorf("fednet: RealTime pacing needs a finite RunFor (a paced run's only exit is its deadline)")
 	}
-	if o.Edge != nil && len(o.Edge.Maps) == 0 {
-		return fmt.Errorf("fednet: Edge gateway lease has no mappings")
+	if o.Edge != nil {
+		if len(o.Edge.Maps) == 0 {
+			return fmt.Errorf("fednet: Edge gateway lease has no mappings")
+		}
+		if !o.RealTime {
+			return fmt.Errorf("fednet: Edge needs RealTime (only pacing keeps grants, and so ingress stamps, near the wall clock)")
+		}
 	}
+	// Gateway admissions are wall-clock facts outside the round log, so a
+	// live-edge run cannot be replayed; everything else, paced or not, can.
+	const noReplay = "gateway admissions are wall-clock facts that are not in the round log"
 	if o.Recover {
-		if o.Edge != nil || o.RealTime {
-			return fmt.Errorf("fednet: Recover requires the fused step protocol (no live edge, no real-time pacing)")
+		if o.Edge != nil {
+			return fmt.Errorf("fednet: Recover cannot replay an Edge run: %s", noReplay)
 		}
 		if !o.Spawn {
 			return fmt.Errorf("fednet: Recover requires Spawn (the coordinator respawns dead workers)")
@@ -212,8 +214,8 @@ func (o *Options) defaults() error {
 		}
 	}
 	if fs := o.FailSpec; fs != nil {
-		if o.Edge != nil || o.RealTime {
-			return fmt.Errorf("fednet: FailSpec requires the fused step protocol (no live edge, no real-time pacing)")
+		if o.Edge != nil {
+			return fmt.Errorf("fednet: FailSpec cannot target an Edge run: %s", noReplay)
 		}
 		if fs.Shard < 0 || fs.Shard >= o.Cores || fs.Round < 1 {
 			return fmt.Errorf("fednet: FailSpec kills shard %d of %d at round %d", fs.Shard, o.Cores, fs.Round)
@@ -410,41 +412,20 @@ func Run(opts Options) (*Report, error) {
 		return nil, fmt.Errorf("fednet: %w", err)
 	}
 	dynBin := dynamics.Encode(opts.Dynamics)
-	// Sharded distribution is the default: each worker receives only its
-	// shard view (owned links + cut frontier) and the VN world map, so
-	// per-worker setup and memory scale with the shard, not the world. Live
-	// edge runs keep the monolithic path — a gateway worker may host ingress
-	// VNs whose flows it must resolve globally at admission time.
-	sharded := opts.Edge == nil && asn.NodeOwner != nil
-	// The piggybacked protocol and the adaptive algebra both need the
-	// reaction-chain matrix, which the coordinator derives from the same
-	// bind/plan computation every worker performs on its copy of the state.
-	piggy := opts.Edge == nil && !opts.RealTime
-	var chain [][]vtime.Duration
-	var bnd *bind.Binding
-	var homes []int
+	// Each worker receives only its shard view (owned links + cut frontier)
+	// and the VN world map, so per-worker setup and memory scale with the
+	// shard, not the world. The coordinator's binding exists for VN
+	// numbering and sync plans, never bulk routes — demand-paged tables
+	// replace the O(n²) matrix. The reaction-chain matrix, which the fused
+	// step's bound compensation and the adaptive algebra both need, comes
+	// from the same plan computation every worker performs on its view.
 	pod := bind.NewPOD(asn.Owner, asn.Cores)
-	if sharded || piggy || opts.Sync == parcore.SyncAdaptive {
-		// Under sharded distribution the coordinator's binding exists for VN
-		// numbering and sync plans, never bulk routes — demand-paged tables
-		// replace the O(n²) matrix.
-		bnd, err = bind.Bind(dist.Graph, bind.Options{
-			EdgeNodes:    opts.EdgeNodes,
-			Cores:        asn.Cores,
-			RouteCache:   opts.RouteCache,
-			Hierarchical: opts.Hierarchical,
-			LazyRoutes:   sharded,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fednet: bind: %w", err)
-		}
-		homes = parcore.Homes(dist.Graph, bnd, pod, opts.Cores)
-		if piggy || opts.Sync == parcore.SyncAdaptive {
-			syncs := parcore.ComputeSyncPlan(dist.Graph, bnd, pod, homes, opts.Cores, opts.Dynamics.LatencyFloorFunc())
-			chain = parcore.ChainMatrix(syncs)
-		}
+	bnd, err := bind.Bind(dist.Graph, bind.Options{EdgeNodes: opts.EdgeNodes, Cores: asn.Cores, LazyRoutes: true})
+	if err != nil {
+		return nil, fmt.Errorf("fednet: bind: %w", err)
 	}
-	var oracle *bind.SummaryOracle
+	homes := parcore.Homes(dist.Graph, bnd, pod, opts.Cores)
+	chain := parcore.ChainMatrix(parcore.ComputeSyncPlan(dist.Graph, bnd, pod, homes, opts.Cores, opts.Dynamics.LatencyFloorFunc()))
 	// cfgFor closes over the mutable addrs slice: a respawned worker's
 	// regenerated setup carries the fleet's *current* endpoints (DataAddrs
 	// only feed openDataPlane, never the deterministic emulation state, so a
@@ -452,101 +433,74 @@ func Run(opts Options) (*Report, error) {
 	cfgFor := func(i int) ([]byte, error) {
 		return json.Marshal(setup{
 			Shard: i, Cores: opts.Cores, Seed: opts.Seed, Profile: prof,
-			DataPlane: opts.DataPlane, DataAddrs: addrs,
-			NoBatch: opts.NoBatch, MaxDatagram: opts.MaxDatagram,
-			EdgeNodes: opts.EdgeNodes, RouteCache: opts.RouteCache, Hierarchical: opts.Hierarchical,
-			Scenario: opts.Scenario, Params: params, CollectDeliveries: opts.CollectDeliveries,
-			Edge: opts.Edge, Trace: opts.Trace, Metrics: opts.MetricsListen != "",
-			Sync: opts.Sync.String(), Sharded: sharded, RunForNs: int64(opts.RunFor),
+			DataPlane: opts.DataPlane, DataAddrs: addrs, MaxDatagram: opts.MaxDatagram,
+			EdgeNodes: opts.EdgeNodes, Scenario: opts.Scenario, Params: params,
+			CollectDeliveries: opts.CollectDeliveries,
+			Edge:              opts.Edge, Trace: opts.Trace, Metrics: opts.MetricsListen != "",
+			Sync: opts.Sync.String(), RunForNs: int64(opts.RunFor),
 			Recoverable: opts.Recover,
 		})
+	}
+	views, err := bind.BuildShardViews(dist.Graph, asn.Owner, asn.NodeOwner, asn.Cores)
+	if err != nil {
+		return nil, fmt.Errorf("fednet: shard views: %w", err)
+	}
+	downSets, err := dynamics.EnumerateReroutes(opts.Dynamics, dist.Graph.NumLinks(), rerouteHorizon(opts.RunFor))
+	if err != nil {
+		return nil, fmt.Errorf("fednet: %w", err)
+	}
+	summaries := make([][]topology.NodeID, len(views))
+	for i, v := range views {
+		summaries[i] = v.Summary
+	}
+	oracle, err := bind.NewSummaryOracle(dist.Graph, summaries, func(epoch int32) ([]topology.LinkID, error) {
+		if int(epoch) >= len(downSets) {
+			return nil, fmt.Errorf("fednet: reroute epoch %d outside the enumerated schedule (%d epochs)", epoch, len(downSets))
+		}
+		return downSets[epoch], nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fednet: %w", err)
+	}
+	world := wire.World{VNHome: make([]int32, bnd.NumVNs()), Homes: make([]int32, bnd.NumVNs())}
+	for v, n := range bnd.VNHome {
+		world.VNHome[v] = int32(n)
+		world.Homes[v] = int32(homes[v])
+	}
+	worldBin := wire.EncodeWorld(world)
+	viewBins := make([][]byte, opts.Cores)
+	for i := range views {
+		viewBins[i] = wire.EncodeShardView(views[i])
 	}
 	// sendSetup distributes one shard's setup over its control conn; Run
 	// uses it for the initial boot, recovery reuses it verbatim to rebuild a
 	// respawned worker (the blobs are precomputed once, outside the closure).
-	var sendSetup func(i int, c net.Conn) error
-	if sharded {
-		views, err := bind.BuildShardViews(dist.Graph, asn.Owner, asn.NodeOwner, asn.Cores)
+	sendSetup := func(i int, c net.Conn) error {
+		cfgJSON, err := cfgFor(i)
 		if err != nil {
-			return nil, fmt.Errorf("fednet: shard views: %w", err)
+			return err
 		}
-		downSets, err := dynamics.EnumerateReroutes(opts.Dynamics, dist.Graph.NumLinks(), rerouteHorizon(opts.RunFor))
-		if err != nil {
-			return nil, fmt.Errorf("fednet: %w", err)
-		}
-		summaries := make([][]topology.NodeID, len(views))
-		for i, v := range views {
-			summaries[i] = v.Summary
-		}
-		oracle, err = bind.NewSummaryOracle(dist.Graph, summaries, func(epoch int32) ([]topology.LinkID, error) {
-			if int(epoch) >= len(downSets) {
-				return nil, fmt.Errorf("fednet: reroute epoch %d outside the enumerated schedule (%d epochs)", epoch, len(downSets))
-			}
-			return downSets[epoch], nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fednet: %w", err)
-		}
-		world := wire.World{VNHome: make([]int32, bnd.NumVNs()), Homes: make([]int32, bnd.NumVNs())}
-		for v, n := range bnd.VNHome {
-			world.VNHome[v] = int32(n)
-			world.Homes[v] = int32(homes[v])
-		}
-		worldBin := wire.EncodeWorld(world)
-		viewBins := make([][]byte, opts.Cores)
-		for i := range views {
-			viewBins[i] = wire.EncodeShardView(views[i])
-		}
-		sendSetup = func(i int, c net.Conn) error {
-			cfgJSON, err := cfgFor(i)
-			if err != nil {
-				return err
-			}
-			for _, sec := range []struct {
-				id   uint8
-				blob []byte
-			}{
-				{wire.SecConfig, cfgJSON}, {wire.SecView, viewBins[i]},
-				{wire.SecWorld, worldBin}, {wire.SecDynamics, dynBin},
-			} {
-				for _, ch := range wire.Chunks(sec.id, sec.blob) {
-					if err := wire.WriteFrame(c, wire.TSetupChunk, ch.Encode()); err != nil {
-						return fmt.Errorf("fednet: setup shard %d: %w", i, err)
-					}
+		for _, sec := range []struct {
+			id   uint8
+			blob []byte
+		}{
+			{wire.SecConfig, cfgJSON}, {wire.SecView, viewBins[i]},
+			{wire.SecWorld, worldBin}, {wire.SecDynamics, dynBin},
+		} {
+			for _, ch := range wire.Chunks(sec.id, sec.blob) {
+				if err := wire.WriteFrame(c, wire.TSetupChunk, ch.Encode()); err != nil {
+					return fmt.Errorf("fednet: setup shard %d: %w", i, err)
 				}
 			}
-			return nil
 		}
-		for i, c := range conns {
-			if err := sendSetup(i, c); err != nil {
-				return nil, err
-			}
-			opts.Log("fednet: shard %d view: %d of %d links, %d frontier nodes, %d summary nodes",
-				i, len(views[i].Links), dist.Graph.NumLinks(), len(views[i].Frontier), len(views[i].Summary))
+		return nil
+	}
+	for i, c := range conns {
+		if err := sendSetup(i, c); err != nil {
+			return nil, err
 		}
-	} else {
-		topoBin := wire.EncodeTopology(dist.Graph)
-		asnBin := wire.EncodeAssignment(asn.Owner, asn.Cores)
-		sendSetup = func(i int, c net.Conn) error {
-			cfgJSON, err := cfgFor(i)
-			if err != nil {
-				return err
-			}
-			var e wire.Enc
-			e.Blob(cfgJSON)
-			e.Blob(topoBin)
-			e.Blob(asnBin)
-			e.Blob(dynBin) // empty = no dynamics
-			if err := wire.WriteFrame(c, wire.TSetup, e.Bytes()); err != nil {
-				return fmt.Errorf("fednet: setup shard %d: %w", i, err)
-			}
-			return nil
-		}
-		for i, c := range conns {
-			if err := sendSetup(i, c); err != nil {
-				return nil, err
-			}
-		}
+		opts.Log("fednet: shard %d view: %d of %d links, %d frontier nodes, %d summary nodes",
+			i, len(views[i].Links), dist.Graph.NumLinks(), len(views[i].Frontier), len(views[i].Summary))
 	}
 	var metrics *obs.Metrics
 	var metricsAddr string
@@ -561,7 +515,7 @@ func Run(opts Options) (*Report, error) {
 		opts.Log("fednet: coordinator metrics on http://%s/metrics", addr)
 	}
 	tr := &coordTransport{
-		conns: conns, timeout: opts.Timeout, metrics: metrics, piggy: piggy, chain: chain,
+		conns: conns, timeout: opts.Timeout, metrics: metrics, chain: chain,
 		oracle: oracle, spawned: spawned,
 	}
 	tr.init(opts.Cores)
@@ -806,18 +760,11 @@ type coordTransport struct {
 	// updated at barrier boundaries (the only points where worker-reported
 	// state is coherent).
 	metrics *obs.Metrics
-	// flushWallNs accumulates the wall time of Exchange's flush half, so
-	// parcore's drive profile can split barrier cost into flush vs sync.
-	flushWallNs uint64
 
-	// piggy selects the fused TStep protocol: flush + sync + window in one
-	// control round trip per window instead of three. Window performs the
-	// round; Exchange consumes the bounds it saved. Live-edge and real-time
-	// runs keep the split rounds — a gateway must admit real-world arrivals
-	// before the bounds its grants derive from are computed.
-	piggy bool
-	// chain is the reaction-chain matrix (parcore.DriveOpts.Chain); the
-	// piggy protocol compensates pre-apply bounds with it.
+	// Every window is one fused TStep round: await + apply + run + admit +
+	// flush in one control round trip. Window performs the round; Exchange
+	// consumes the bounds it saved. chain is the reaction-chain matrix
+	// (parcore.DriveOpts.Chain) that compensates those pre-apply bounds.
 	chain [][]vtime.Duration
 	// saved holds each worker's bounds from the last TStepDone round; nil
 	// when stale (before the first barrier, after a drain), which forces a
@@ -833,11 +780,11 @@ type coordTransport struct {
 	// senders' cumulative counters is j's in-flight message count.
 	acked []uint64
 
-	// oracle serves demand-paged route summaries under sharded
-	// distribution: a worker that misses a destination in its ShardTable
-	// sends TRouteReq on the control conn; read answers inline, so the RPC
-	// is always served while the coordinator awaits that worker's next
-	// protocol reply (a worker only pages routes while running its window).
+	// oracle serves demand-paged route summaries: a worker that misses a
+	// destination in its ShardTable sends TRouteReq on the control conn;
+	// read answers inline, so the RPC is always served while the coordinator
+	// awaits that worker's next protocol reply (a worker only pages routes
+	// while serving a step or drain round).
 	oracle *bind.SummaryOracle
 
 	// rec, when non-nil, is the checkpoint/restart engine (Options.Recover):
@@ -855,16 +802,11 @@ type coordTransport struct {
 
 	sent     [][]uint64 // [worker][peer] cumulative sends, last reported
 	messages uint64
-	// floor is the maximum virtual clock any worker has reported: the
-	// flush round broadcasts it so live edge gateways can stamp ingress
-	// admissions at a time no peer shard has already passed. Under
-	// real-time pacing it additionally tracks the wall clock (paceEpoch
-	// set), so an ingress stamp is never earlier than its arrival's wall
-	// time even when the emulation lags the wall clock — which is what
-	// makes an external observer's measured delays respect the model
-	// unconditionally.
+	// floor is the maximum virtual clock any worker has reported; stepFloor
+	// raises it to each step's Floor. paceEpoch is zero unless the run is
+	// wall-clock paced.
 	floor     vtime.Time
-	paceEpoch time.Time // zero unless the run is wall-clock paced
+	paceEpoch time.Time
 }
 
 func (t *coordTransport) init(k int) {
@@ -941,9 +883,6 @@ func (t *coordTransport) read(i int) (uint8, []byte, error) {
 		case wire.TError:
 			return 0, nil, fmt.Errorf("fednet: shard %d failed: %s", i, body)
 		case wire.TRouteReq:
-			if t.oracle == nil {
-				return 0, nil, fmt.Errorf("fednet: shard %d paged a route summary but the run is not sharded", i)
-			}
 			m, err := wire.DecodeRouteReq(body)
 			if err != nil {
 				return 0, nil, fmt.Errorf("fednet: shard %d route req: %w", i, err)
@@ -979,90 +918,42 @@ func (t *coordTransport) update(i int, sent []uint64) error {
 	return nil
 }
 
-// collectCounts reads one counts-bearing reply of the given type from every
-// worker.
-func (t *coordTransport) collectCounts(want uint8) error {
-	for i := range t.conns {
-		typ, body, err := t.read(i)
-		if err != nil {
-			return err
-		}
-		if typ != want {
-			return fmt.Errorf("fednet: shard %d: expected frame type %d, got %d", i, want, typ)
-		}
-		m, err := wire.DecodeCounts(body)
-		if err != nil {
-			return err
-		}
-		if vtime.Time(m.Now) > t.floor {
-			t.floor = vtime.Time(m.Now)
-		}
-		if err := t.update(i, m.Sent); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Exchange implements parcore.Transport. On the split protocol a flush
-// round moves every pending message onto the sockets and settles the
-// expectation counters, then a sync round has every worker await, apply,
-// and report bounds. On the piggy protocol the bounds were already reported
+// Exchange implements parcore.Transport. The bounds were already reported
 // by the last step round; Exchange compensates them for in-flight traffic
 // and returns without touching the network (a bounds-only step round fills
 // in when no bounds are saved yet).
 func (t *coordTransport) Exchange() ([]parcore.Bounds, error) {
-	if t.piggy {
-		if t.saved == nil {
-			// First barrier or post-drain: run a bounds-only step. It also
-			// settles every reported send — the expectation vector covers
-			// them all — so the bounds it returns need no compensation.
-			if err := t.stepRound(nil); err != nil {
-				return nil, err
-			}
-		}
-		return t.compensated(), nil
-	}
-	f0 := time.Now()
-	floor := t.floor
-	if !t.paceEpoch.IsZero() {
-		if w := vtime.Time(time.Since(t.paceEpoch)); w > floor {
-			floor = w
-		}
-	}
-	flushBody := wire.Flush{Floor: int64(floor)}.Encode()
-	for i := range t.conns {
-		if err := wire.WriteFrame(t.conns[i], wire.TFlush, flushBody); err != nil {
+	if t.saved == nil {
+		// First barrier or post-drain: run a bounds-only step. It also
+		// settles every reported send — the expectation vector covers them
+		// all — so the bounds it returns need no compensation.
+		if err := t.stepRound(nil); err != nil {
 			return nil, err
 		}
 	}
-	if err := t.collectCounts(wire.TFlushDone); err != nil {
-		return nil, err
+	return t.compensated(), nil
+}
+
+// stepFloor is a step round's Step.Floor, the stamp for the live gateway
+// admissions its workers make after running their windows: at least the
+// clock floor (every clock a worker has reported), the paced wall clock
+// (zero when unpaced, so an ingress stamp is never earlier than its
+// arrival's wall time even when the emulation lags), and every finite grant
+// of the round — peers run through their grants concurrently with the
+// admitting worker, so no peer can have passed the stamp. Forever grants
+// (shards nothing can reach) bound nothing and are skipped; a bounds-only
+// step passes no grants.
+func stepFloor(clock, wall vtime.Time, grants []vtime.Time) vtime.Time {
+	f := clock
+	if wall > f {
+		f = wall
 	}
-	t.flushWallNs += uint64(time.Since(f0))
-	for i := range t.conns {
-		expect := t.expectFor(i)
-		if err := wire.WriteFrame(t.conns[i], wire.TSync, wire.Sync{Expect: expect}.Encode()); err != nil {
-			return nil, err
+	for _, g := range grants {
+		if g != vtime.Forever && g > f {
+			f = g
 		}
-		t.acked[i] = sumCounts(expect)
 	}
-	bs := make([]parcore.Bounds, len(t.conns))
-	for i := range t.conns {
-		typ, body, err := t.read(i)
-		if err != nil {
-			return nil, err
-		}
-		if typ != wire.TReady {
-			return nil, fmt.Errorf("fednet: shard %d: expected ready, got frame type %d", i, typ)
-		}
-		m, err := wire.DecodeReady(body)
-		if err != nil {
-			return nil, err
-		}
-		bs[i] = boundsOf(m.Next, m.Safe, m.SafeTo, len(t.conns))
-	}
-	return bs, nil
+	return f
 }
 
 // boundsOf assembles a parcore.Bounds from wire integers; a SafeTo vector
@@ -1080,8 +971,8 @@ func boundsOf(next, safe int64, safeTo []int64, k int) parcore.Bounds {
 
 // stepRound is one fused barrier round: every worker awaits its expectation
 // prefix, applies its inbox, runs through its grant (nil grants: bounds
-// only), flushes its outbox, and replies with counts plus its post-step
-// bounds, which land in saved.
+// only), admits its gateway snapshot at the step floor, flushes its outbox,
+// and replies with counts plus its post-step bounds, which land in saved.
 func (t *coordTransport) stepRound(grants []vtime.Time) error {
 	k := len(t.conns)
 	t.stepIdx++
@@ -1094,6 +985,11 @@ func (t *coordTransport) stepRound(grants []vtime.Time) error {
 		}
 	}
 	ckpt := t.rec != nil && t.stepIdx%t.rec.ckptEvery == 0
+	var wall vtime.Time
+	if !t.paceEpoch.IsZero() {
+		wall = vtime.Time(time.Since(t.paceEpoch))
+	}
+	floor := stepFloor(t.floor, wall, grants)
 	bodies := make([][]byte, k)
 	for i := 0; i < k; i++ {
 		g := int64(-1)
@@ -1101,7 +997,7 @@ func (t *coordTransport) stepRound(grants []vtime.Time) error {
 			g = int64(grants[i])
 		}
 		expect := t.expectFor(i)
-		bodies[i] = wire.Step{Floor: int64(t.floor), Grant: g, Expect: expect, Ckpt: ckpt}.Encode()
+		bodies[i] = wire.Step{Floor: int64(floor), Grant: g, Expect: expect, Ckpt: ckpt}.Encode()
 		t.acked[i] = sumCounts(expect)
 	}
 	replies, err := t.round(wire.TStep, wire.TStepDone, bodies, ckpt)
@@ -1278,28 +1174,13 @@ func (t *coordTransport) compensated() []parcore.Bounds {
 	return bs
 }
 
-// FlushWallNs reports the accumulated wall time of flush rounds; parcore's
-// drive profiler subtracts it from the barrier total.
-func (t *coordTransport) FlushWallNs() uint64 { return t.flushWallNs }
-
 // Window implements parcore.Transport: all workers run their shards
 // concurrently, shard i through grants[i] — this is where federation buys
-// real parallelism. On the piggy protocol the window rides the fused step
-// round (one control round trip covers await, apply, run, and flush).
+// real parallelism. The window rides the fused step round (one control round
+// trip covers await, apply, run, admit, and flush).
 func (t *coordTransport) Window(grants []vtime.Time) error {
-	if t.piggy {
-		if err := t.stepRound(grants); err != nil {
-			return err
-		}
-	} else {
-		for i := range t.conns {
-			if err := wire.WriteFrame(t.conns[i], wire.TWindow, wire.Window{Bound: int64(grants[i])}.Encode()); err != nil {
-				return err
-			}
-		}
-		if err := t.collectCounts(wire.TWindowDone); err != nil {
-			return err
-		}
+	if err := t.stepRound(grants); err != nil {
+		return err
 	}
 	for i, g := range grants {
 		if g > t.lastGrants[i] {

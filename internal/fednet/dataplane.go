@@ -262,23 +262,6 @@ type dataPlane struct {
 	bytes  uint64 // bytes handed to the sockets, framing included
 }
 
-// decodeMsg converts a received data frame into a parcore message plus its
-// channel sequence.
-func decodeMsg(body []byte) (parcore.Msg, uint64, error) {
-	d, err := wire.DecodeData(body)
-	if err != nil {
-		return parcore.Msg{}, 0, err
-	}
-	m, err := liveMsg(int(d.Sender), wire.DataMsg{
-		Seq: d.Seq, Kind: d.Kind, Pid: d.Pid,
-		At: d.At, Lag: d.Lag, Fire: d.Fire, Pkt: d.Pkt,
-	})
-	if err != nil {
-		return parcore.Msg{}, 0, err
-	}
-	return m, d.TSeq, nil
-}
-
 // liveMsg reconstructs a parcore message from one decoded batch element.
 func liveMsg(sender int, d wire.DataMsg) (parcore.Msg, error) {
 	pkt, err := d.Pkt.Packet()
@@ -316,26 +299,6 @@ func wireMsg(m parcore.Msg) (wire.DataMsg, error) {
 		Fire: int64(m.Fire),
 		Pkt:  pw,
 	}, nil
-}
-
-// encodeMsg converts an outbound parcore message into a single-message data
-// frame body (the unbatched plane).
-func encodeMsg(m parcore.Msg, tseq uint64) ([]byte, error) {
-	d, err := wireMsg(m)
-	if err != nil {
-		return nil, err
-	}
-	return wire.Data{
-		Sender: uint16(m.Sender),
-		Seq:    d.Seq,
-		TSeq:   tseq,
-		Kind:   d.Kind,
-		Pid:    d.Pid,
-		At:     d.At,
-		Lag:    d.Lag,
-		Fire:   d.Fire,
-		Pkt:    d.Pkt,
-	}.Encode(), nil
 }
 
 // openDataPlane wires this worker to its peers. UDP: everyone already has a
@@ -486,20 +449,11 @@ func (dp *dataPlane) start() {
 	}
 }
 
-// deliverFrame feeds one received data-plane frame into the collector.
-// Both planes accept single-message (TData) and batched (TDataBatch)
-// frames, so a `-batch=0` sender interoperates with any receiver. src is
-// the datagram's source address on the UDP plane (nil on TCP): a recovery
-// request's source IS the respawned peer's new endpoint.
+// deliverFrame feeds one received data-plane frame into the collector. src
+// is the datagram's source address on the UDP plane (nil on TCP): a
+// recovery request's source IS the respawned peer's new endpoint.
 func (dp *dataPlane) deliverFrame(typ uint8, body []byte, src *net.UDPAddr) error {
 	switch typ {
-	case wire.TData:
-		m, tseq, err := decodeMsg(body)
-		if err != nil {
-			return err
-		}
-		dp.col.add(m, tseq)
-		return nil
 	case wire.TDataBatch:
 		b, err := wire.DecodeDataBatch(body)
 		if err != nil {
@@ -677,20 +631,6 @@ func (dp *dataPlane) sendErr(err error) error {
 		return nil
 	}
 	return err
-}
-
-// send transmits one tunnel message to peer shard j as the tseq-th message
-// on the this-shard→j channel (the unbatched plane).
-func (dp *dataPlane) send(j int, m parcore.Msg, tseq uint64) error {
-	body, err := encodeMsg(m, tseq)
-	if err != nil {
-		return err
-	}
-	frame := wire.AppendFrame(nil, wire.TData, body)
-	if dp.plane == DataUDP && len(frame) > dp.maxDatagram {
-		return fmt.Errorf("fednet: %d-byte tunnel message exceeds the UDP data plane datagram bound (%d); use the tcp data plane", len(frame), dp.maxDatagram)
-	}
-	return dp.write(j, frame)
 }
 
 // batchOverhead is the fixed cost of one batched frame: the frame header

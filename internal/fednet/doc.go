@@ -7,15 +7,17 @@
 // A federated run has one coordinator and Cores workers:
 //
 //   - The coordinator (Run) builds the target topology, distills it, and
-//     partitions the pipes; it then distributes the distilled topology,
-//     assignment, and scenario over a TCP control plane and drives the same
-//     conservative synchronization loop as the in-process runtime
-//     (parcore.Drive) through a socket-backed parcore.Transport.
+//     partitions the pipes; it then streams each worker its shard view, the
+//     VN world map, and the scenario as chunked setup over a TCP control
+//     plane, and drives the same conservative synchronization loop as the
+//     in-process runtime (parcore.DriveWith) through a socket-backed
+//     parcore.Transport whose every window is one fused step round.
 //   - Each worker (Worker, usually entered via the `modelnet core`
 //     subcommand or the self-exec spawn helper) deterministically rebuilds
-//     its shard — binding, shard emulator, homed VN hosts, workload — from
-//     the distributed state, and exchanges cross-core tunnel messages with
-//     its peers directly over a UDP (or TCP-fallback) data plane.
+//     its shard — binding, sparse shard emulator, demand-paged routes,
+//     homed VN hosts, workload — from its view, and exchanges cross-core
+//     tunnel messages with its peers directly over a batched UDP (or
+//     TCP-fallback) data plane.
 //
 // The scheduler never learns whether its peer is a goroutine or a socket:
 // parcore.Drive sees only the Transport. That is what extends PR 1's
@@ -26,9 +28,10 @@
 //
 // A federation can also open itself to the outside world: Options.Edge
 // leases a live edge gateway (internal/edge) to the workers — real UDP
-// sockets mapped onto ingress VNs — and Options.RealTime paces the
-// synchronization loop against the wall clock so external, unmodified
-// processes observe the emulated topology's latency and loss in real time.
+// sockets mapped onto ingress VNs, admitted after each step's window — and
+// Options.RealTime, which a lease requires, paces the synchronization loop
+// against the wall clock so external, unmodified processes observe the
+// emulated topology's latency and loss in real time.
 // Live traffic trades the byte-identical replay guarantee for model-bounded
 // accuracy; DESIGN.md §4 states exactly which guarantees survive.
 package fednet

@@ -127,8 +127,9 @@ func (e *WorkerEnv) NewHost(vn pipes.VN) *netstack.Host {
 	return h
 }
 
-// setup is the control-plane configuration frame body (JSON section); the
-// distilled topology and assignment ride the same frame as binary blobs.
+// setup is the run configuration, the JSON section of the chunked setup; the
+// worker's shard view, the VN world map and the dynamics spec travel as the
+// binary sections beside it.
 type setup struct {
 	Shard     int             `json:"shard"`
 	Cores     int             `json:"cores"`
@@ -137,9 +138,7 @@ type setup struct {
 	DataPlane string          `json:"data_plane"`
 	DataAddrs []string        `json:"data_addrs"` // per shard, for DataPlane
 
-	EdgeNodes    int  `json:"edge_nodes,omitempty"`
-	RouteCache   int  `json:"route_cache,omitempty"`
-	Hierarchical bool `json:"hierarchical,omitempty"`
+	EdgeNodes int `json:"edge_nodes,omitempty"`
 
 	Scenario          string          `json:"scenario"`
 	Params            json.RawMessage `json:"params,omitempty"`
@@ -150,19 +149,11 @@ type setup struct {
 	// reports per-peer SafeTo bounds. Empty = adaptive.
 	Sync string `json:"sync,omitempty"`
 
-	// Sharded marks the chunked per-shard setup: the worker receives its
-	// ShardView and the VN world map instead of the whole topology and
-	// assignment, materializes only its owned pipes plus the cut frontier,
-	// and routes through a demand-paged bind.ShardTable.
-	Sharded bool `json:"sharded,omitempty"`
 	// RunForNs is the run's virtual-time budget (0 = run to quiescence).
-	// Sharded workers need it to enumerate the reroute epoch schedule over
-	// exactly the coordinator's horizon.
+	// Workers need it to enumerate the reroute epoch schedule over exactly
+	// the coordinator's horizon.
 	RunForNs int64 `json:"run_for_ns,omitempty"`
 
-	// NoBatch reverts the data plane to one frame per tunnel message (the
-	// pre-batching behavior); zero value = batching on.
-	NoBatch bool `json:"no_batch,omitempty"`
 	// MaxDatagram bounds one UDP data-plane frame; 0 = DefaultMaxDatagram.
 	MaxDatagram int `json:"max_datagram,omitempty"`
 
@@ -214,21 +205,20 @@ type WorkerReport struct {
 	TunnelsOut uint64           `json:"tunnels_out"`
 	// Frames and BytesOnWire price the worker's share of the data plane:
 	// frames written (= syscalls on the UDP plane) and bytes including
-	// framing. With batching, Frames is far below the message count.
+	// framing. Batching keeps Frames far below the message count.
 	Frames      uint64 `json:"frames"`
 	BytesOnWire uint64 `json:"bytes_on_wire"`
 	// SetupBytes is what distribution cost this worker: the total size of
-	// the setup frames it received (chunked sections under sharded
-	// distribution, one monolithic frame otherwise). StartupWallNs spans
-	// first setup byte to setup-ack; both are first-class BENCH columns.
+	// the setup chunks it received. StartupWallNs spans first setup byte to
+	// setup-ack; both are first-class BENCH columns.
 	SetupBytes    uint64 `json:"setup_bytes"`
 	StartupWallNs int64  `json:"startup_wall_ns"`
 	// PeakRSSBytes is the process's peak resident set (VmHWM) at report
 	// time; MaterializedPipes counts the pipes this worker actually built —
-	// ≈ owned + frontier under sharded distribution, all pipes otherwise.
+	// ≈ owned + frontier.
 	PeakRSSBytes      uint64 `json:"peak_rss_bytes"`
 	MaterializedPipes int    `json:"materialized_pipes"`
-	// RouteRPCs counts demand-paged summary fetches (sharded runs only).
+	// RouteRPCs counts demand-paged summary fetches.
 	RouteRPCs  uint64    `json:"route_rpcs,omitempty"`
 	Deliveries []float64 `json:"deliveries,omitempty"`
 	// PipeDrops is the per-pipe drop count vector, indexed by pipe ID.

@@ -10,23 +10,12 @@ import (
 	"testing"
 
 	"modelnet/internal/pipes"
-	"modelnet/internal/topology"
 )
-
-func topologySeed() *topology.Graph {
-	g := topology.New()
-	a := g.AddNode(topology.Stub, "a")
-	b := g.AddNode(topology.Client, "b")
-	g.AddDuplex(a, b, topology.LinkAttrs{BandwidthBps: 1e6, LatencySec: 0.001, QueuePkts: 10})
-	return g
-}
 
 func fuzzSeeds(f *testing.F) {
 	pw, _ := EncodePacket(&pipes.Packet{
 		Seq: 7, Size: 1000, Src: 1, Dst: 2, Route: []pipes.ID{0, 3}, Hop: 1,
 	})
-	f.Add(Data{Sender: 1, Seq: 9, Kind: KindTunnel, Pid: 3, At: 5, Fire: 6, Pkt: pw}.Encode())
-	f.Add(Data{Kind: KindDelivery, Pid: -1, Lag: 11, Pkt: pw}.Encode())
 	f.Add(DataBatch{Sender: 1, TSeq0: 4, Msgs: []DataMsg{
 		{Seq: 9, Kind: KindTunnel, Pid: 3, At: 5, Fire: 6, Pkt: pw},
 		{Seq: 10, Kind: KindDelivery, Pid: -1, Lag: 11, Pkt: pw},
@@ -34,32 +23,27 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(DataBatch{Sender: 2, TSeq0: 4, Close: 4, Msgs: []DataMsg{
 		{Seq: 9, Kind: KindTunnel, Pid: 3, At: 5, Fire: 6, Pkt: pw},
 	}}.Encode())
-	f.Add(Window{Bound: 1 << 40}.Encode())
 	f.Add(Counts{Now: 3, Sent: []uint64{0, 2}}.Encode())
 	f.Add(DrainDone{Progressed: true, Counts: Counts{Sent: []uint64{1}}}.Encode())
-	f.Add(Ready{Next: 5, Safe: 9, SafeTo: []int64{12, -1}}.Encode())
+	f.Add(Drain{T: 1 << 40, Expect: []uint64{5, 0}}.Encode())
 	f.Add(Step{Floor: 2, Grant: -1, Expect: []uint64{0, 3}}.Encode())
+	f.Add(Step{Floor: 1 << 40, Grant: 1 << 40, Ckpt: true, Expect: []uint64{7, 0, 1}}.Encode())
 	f.Add(StepDone{Counts: Counts{Now: 4, Sent: []uint64{1, 0}}, Next: 6, Safe: 7, SafeTo: []int64{8, 9}}.Encode())
+	f.Add(StepDone{Counts: Counts{Now: 4, Sent: []uint64{1, 0}}, Next: 6, Safe: 7}.Encode())
+	f.Add(DataBatch{Sender: 3, TSeq0: 1, Close: 2, Msgs: []DataMsg{
+		{Seq: 1, Kind: KindDelivery, Pid: -1, Lag: 2, Pkt: pw},
+		{Seq: 2, Kind: KindTunnel, Pid: 0, At: 9, Fire: 9, Pkt: pw},
+	}}.Encode())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 }
 
 // FuzzDecodeData feeds arbitrary bytes to every body decoder: none may
-// panic, and a successful Data or DataBatch decode must re-encode
-// byte-identically (the codec is canonical).
+// panic, and a successful DataBatch decode must re-encode byte-identically
+// (the codec is canonical), packets included.
 func FuzzDecodeData(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if m, err := DecodeData(b); err == nil {
-			if !bytes.Equal(m.Encode(), b) {
-				t.Fatalf("Data decode/encode not canonical for %x", b)
-			}
-			if _, err := m.Pkt.Packet(); err == nil {
-				if _, err := EncodePacket(mustPacket(t, &m.Pkt)); err != nil {
-					t.Fatalf("decoded packet failed to re-encode: %v", err)
-				}
-			}
-		}
 		if m, err := DecodeDataBatch(b); err == nil {
 			if !bytes.Equal(m.Encode(), b) {
 				t.Fatalf("DataBatch decode/encode not canonical for %x", b)
@@ -71,8 +55,15 @@ func FuzzDecodeData(f *testing.F) {
 			if !bytes.Equal(EncodeDataBatch(m.Sender, m.TSeq0, m.Close, elems), b) {
 				t.Fatalf("EncodeDataBatch not canonical for %x", b)
 			}
+			for _, x := range m.Msgs {
+				if _, err := x.Pkt.Packet(); err == nil {
+					if _, err := EncodePacket(mustPacket(t, &x.Pkt)); err != nil {
+						t.Fatalf("decoded packet failed to re-encode: %v", err)
+					}
+				}
+			}
 		}
-		DecodeWindowAll(b)
+		decodeAll(b)
 	})
 }
 
@@ -85,27 +76,22 @@ func mustPacket(t *testing.T, p *PacketWire) *pipes.Packet {
 	return pkt
 }
 
-// DecodeWindowAll exercises the remaining body decoders for panic safety.
-func DecodeWindowAll(b []byte) {
-	_, _ = DecodeWindow(b)
+// decodeAll exercises the remaining body decoders for panic safety.
+func decodeAll(b []byte) {
 	_, _ = DecodeCounts(b)
-	_, _ = DecodeSync(b)
-	_, _ = DecodeReady(b)
 	_, _ = DecodeDrain(b)
 	_, _ = DecodeDrainDone(b)
-	_, _ = DecodeFlush(b)
 	_, _ = DecodeStep(b)
 	_, _ = DecodeStepDone(b)
-	_, _, _ = DecodeAssignment(b)
 }
 
 // FuzzReadFrame feeds arbitrary byte streams to the stream and datagram
 // frame parsers.
 func FuzzReadFrame(f *testing.F) {
-	f.Add(AppendFrame(nil, TData, []byte("body")))
-	f.Add(AppendFrame(nil, TWindow, Window{Bound: 12}.Encode()))
+	f.Add(AppendFrame(nil, TDataBatch, []byte("body")))
+	f.Add(AppendFrame(nil, TStep, Step{Grant: 12, Expect: []uint64{1, 0}}.Encode()))
 	f.Add([]byte{1, 0, 0, 0})
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, Version, TData})
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, Version, TDataBatch})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if typ, body, err := ParseFrame(b); err == nil {
 			if !bytes.Equal(AppendFrame(nil, typ, body), b) {
@@ -116,30 +102,6 @@ func FuzzReadFrame(f *testing.F) {
 		for {
 			if _, _, err := ReadFrame(r); err != nil {
 				break
-			}
-		}
-	})
-}
-
-// FuzzTopology checks the topology codec: arbitrary bytes never panic, and
-// a graph that decodes must re-encode byte-identically and satisfy the
-// structural invariants the decoder promises (dense IDs, endpoints in
-// range).
-func FuzzTopology(f *testing.F) {
-	g := topologySeed()
-	f.Add(EncodeTopology(g))
-	f.Add([]byte{2, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		got, err := DecodeTopology(b)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(EncodeTopology(got), b) {
-			t.Fatalf("topology decode/encode not canonical")
-		}
-		for _, l := range got.Links {
-			if int(l.Src) >= got.NumNodes() || int(l.Dst) >= got.NumNodes() {
-				t.Fatalf("decoded link %d has endpoint out of range", l.ID)
 			}
 		}
 	})

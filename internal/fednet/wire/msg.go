@@ -8,55 +8,8 @@ import (
 	"fmt"
 
 	"modelnet/internal/pipes"
-	"modelnet/internal/topology"
 	"modelnet/internal/vtime"
 )
-
-// Window asks a worker to run its shard through Bound (inclusive).
-type Window struct {
-	Bound int64
-}
-
-// Encode returns the frame body.
-func (m Window) Encode() []byte {
-	var e Enc
-	e.I64(m.Bound)
-	return e.Bytes()
-}
-
-// DecodeWindow parses a TWindow body.
-func DecodeWindow(b []byte) (Window, error) {
-	d := NewDec(b)
-	m := Window{Bound: d.I64()}
-	return m, d.Done()
-}
-
-// Flush asks a worker to push its outbox onto the data plane. Floor is the
-// maximum virtual clock over all shards at this barrier: a live edge
-// gateway (internal/edge) stamps its queued real-world arrivals at
-// max(local clock, Floor), so an ingress event — and every cross-core
-// message it later causes — can never fire before a peer shard's present.
-type Flush struct {
-	Floor int64
-}
-
-// Encode returns the frame body.
-func (m Flush) Encode() []byte {
-	var e Enc
-	e.I64(m.Floor)
-	return e.Bytes()
-}
-
-// DecodeFlush parses a TFlush body. An empty body (the pre-live protocol)
-// decodes as a zero floor.
-func DecodeFlush(b []byte) (Flush, error) {
-	if len(b) == 0 {
-		return Flush{}, nil
-	}
-	d := NewDec(b)
-	m := Flush{Floor: d.I64()}
-	return m, d.Done()
-}
 
 // Counts reports a worker's cumulative per-peer message counters: Sent[j]
 // is the total number of data-plane messages this worker has ever sent to
@@ -78,7 +31,8 @@ func (m Counts) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeCounts parses a TWindowDone/TFlushDone body.
+// DecodeCounts parses an encoded Counts (the counts section of a TStepDone
+// or TDrainDone body).
 func DecodeCounts(b []byte) (Counts, error) {
 	d := NewDec(b)
 	m := Counts{Now: d.I64()}
@@ -89,77 +43,19 @@ func DecodeCounts(b []byte) (Counts, error) {
 	return m, d.Done()
 }
 
-// Sync tells a worker, per sender shard, the cumulative number of
-// data-plane messages ever addressed to it (Expect[j] covers channel j→me);
-// the worker blocks until exactly that prefix of every channel has arrived,
-// applies its inbox in canonical order, and replies with TReady. Channel
-// prefixes — rather than a single total — make the barrier immune to
-// cross-channel arrival races: a peer's next-round messages can already be
-// in flight while this worker still awaits the current round.
-type Sync struct {
-	Expect []uint64
-}
-
-// Encode returns the frame body.
-func (m Sync) Encode() []byte {
-	var e Enc
-	e.U32(uint32(len(m.Expect)))
-	for _, x := range m.Expect {
-		e.U64(x)
-	}
-	return e.Bytes()
-}
-
-// DecodeSync parses a TSync body.
-func DecodeSync(b []byte) (Sync, error) {
-	d := NewDec(b)
-	n := d.Len(8)
-	m := Sync{}
-	for i := 0; i < n; i++ {
-		m.Expect = append(m.Expect, d.U64())
-	}
-	return m, d.Done()
-}
-
-// Ready is a worker's post-apply bounds report. SafeTo, when non-empty, is
-// the adaptive algebra's per-peer bound vector (parcore.Bounds.SafeTo):
-// entry j is the earliest virtual time a message from this shard's current
-// state could fire on shard j. Empty under the fixed algebra.
-type Ready struct {
-	Next, Safe int64
-	SafeTo     []int64
-}
-
-// Encode returns the frame body.
-func (m Ready) Encode() []byte {
-	var e Enc
-	e.I64(m.Next)
-	e.I64(m.Safe)
-	e.U32(uint32(len(m.SafeTo)))
-	for _, s := range m.SafeTo {
-		e.I64(s)
-	}
-	return e.Bytes()
-}
-
-// DecodeReady parses a TReady body.
-func DecodeReady(b []byte) (Ready, error) {
-	d := NewDec(b)
-	m := Ready{Next: d.I64(), Safe: d.I64()}
-	n := d.Len(8)
-	for i := 0; i < n; i++ {
-		m.SafeTo = append(m.SafeTo, d.I64())
-	}
-	return m, d.Done()
-}
-
-// Step is one fused barrier step, the piggybacked form of the
-// Flush/Sync/Window round trips: the worker awaits the Expect channel
-// prefixes, applies its inbox in canonical order, runs its shard through
-// Grant (inclusive) unless Grant is negative (a bounds-only step), flushes
-// its outbox, and replies with TStepDone. Floor plays TFlush's role for any
-// live gateway. One control round trip per window instead of three.
+// Step is one fused barrier step, the federation's only synchronization
+// round: the worker awaits the Expect channel prefixes (per sender shard j,
+// the cumulative number of data-plane messages ever addressed to it — channel
+// prefixes make the barrier immune to cross-channel arrival races), applies
+// its inbox in canonical order, runs its shard through Grant (inclusive)
+// unless Grant is negative (a bounds-only step), admits the live gateway
+// arrivals it snapshotted on reading the frame, flushes its outbox, and
+// replies with TStepDone.
 type Step struct {
+	// Floor stamps live gateway admissions: each is scheduled at
+	// max(local clock, Floor). The coordinator sets it no lower than the
+	// clock floor, the paced wall clock and every finite grant of the round,
+	// so no peer has run past an admission (DESIGN.md §4).
 	Floor int64
 	Grant int64 // the shard's window grant; < 0 = report bounds, do not run
 	// Ckpt asks the worker to push a TCheckpoint digest after this step's
@@ -243,7 +139,7 @@ func DecodeStepDone(b []byte) (StepDone, error) {
 }
 
 // Drain gives a worker one serial drain turn at time T: await the Expect
-// channel prefixes (as in Sync), apply, run local events with timestamps
+// channel prefixes (as in Step), apply, run local events with timestamps
 // ≤ T.
 type Drain struct {
 	T      int64
@@ -305,22 +201,6 @@ const (
 	KindDelivery uint8 = 1 // complete Pkt's delivery at At with lag Lag
 )
 
-// Data is one cross-core event: a tunnel entry or delivery completion,
-// carrying the packet descriptor (and, without payload caching, its
-// payload) between core processes — the §2.2 core-to-core tunnel made
-// literal.
-type Data struct {
-	Sender uint16
-	Seq    uint64 // the sender's outbox sequence (canonical-order tiebreak)
-	TSeq   uint64 // dense 1-based sequence on the sender→target channel
-	Kind   uint8
-	Pid    int32
-	At     int64
-	Lag    int64
-	Fire   int64
-	Pkt    PacketWire
-}
-
 // PacketWire is the on-the-wire form of pipes.Packet. Payload is the
 // packet payload's complete registry encoding (EncodePayload: u16 type id
 // + codec body, nested payloads inline); a nil payload encodes as the two
@@ -378,44 +258,6 @@ func decodePacketWire(d *Dec) PacketWire {
 	return p
 }
 
-// Encode returns the frame body.
-func (m Data) Encode() []byte {
-	var e Enc
-	e.U16(m.Sender)
-	e.U64(m.Seq)
-	e.U64(m.TSeq)
-	e.U8(m.Kind)
-	e.I32(m.Pid)
-	e.I64(m.At)
-	e.I64(m.Lag)
-	e.I64(m.Fire)
-	appendPacketWire(&e, &m.Pkt)
-	return e.Bytes()
-}
-
-// DecodeData parses a TData body.
-func DecodeData(b []byte) (Data, error) {
-	d := NewDec(b)
-	m := Data{
-		Sender: d.U16(),
-		Seq:    d.U64(),
-		TSeq:   d.U64(),
-		Kind:   d.U8(),
-		Pid:    d.I32(),
-		At:     d.I64(),
-		Lag:    d.I64(),
-		Fire:   d.I64(),
-	}
-	m.Pkt = decodePacketWire(d)
-	if err := d.Done(); err != nil {
-		return Data{}, err
-	}
-	if err := checkDataMsg(m.Kind, m.Pid, &m.Pkt); err != nil {
-		return Data{}, err
-	}
-	return m, nil
-}
-
 // checkDataMsg validates the structural invariants of one data message.
 func checkDataMsg(kind uint8, pid int32, p *PacketWire) error {
 	if kind != KindTunnel && kind != KindDelivery {
@@ -430,11 +272,12 @@ func checkDataMsg(kind uint8, pid int32, p *PacketWire) error {
 	return nil
 }
 
-// DataMsg is one element of a DataBatch: a Data message minus the fields
-// the batch header carries for the whole run (Sender; the per-channel
-// sequence is implicit — element i of a batch is message TSeq0+i on the
-// sender→receiver channel, which is what keeps the dense-sequence barrier
-// accounting byte-for-byte identical to the unbatched plane).
+// DataMsg is one cross-core event, an element of a DataBatch: a tunnel
+// entry or delivery completion carrying the packet descriptor (and, without
+// payload caching, its payload) between core processes — the §2.2
+// core-to-core tunnel made literal. The sender and the per-channel sequence
+// live in the batch header: element i of a batch is message TSeq0+i on the
+// sender→receiver channel.
 type DataMsg struct {
 	Seq  uint64 // the sender's outbox sequence (canonical-order tiebreak)
 	Kind uint8
@@ -482,8 +325,8 @@ func decodeDataMsg(d *Dec) DataMsg {
 // DataBatch is a dense run of cross-core tunnel messages from one sender:
 // element i carries channel sequence TSeq0+i. The data plane coalesces each
 // window's messages per peer into one batch, chunked under the plane's
-// datagram bound, so the per-message frame and syscall cost of the
-// unbatched plane becomes per-window.
+// datagram bound, so cross-core frame and syscall cost is per window, not
+// per message.
 type DataBatch struct {
 	Sender uint16
 	TSeq0  uint64 // channel sequence of element 0; dense, 1-based
@@ -614,103 +457,4 @@ func (p *PacketWire) Packet() (*pipes.Packet, error) {
 		Epoch:    p.Epoch,
 		Payload:  payload,
 	}, nil
-}
-
-// EncodeTopology serializes a graph bit-exactly (float64 attributes travel
-// as raw bits, so the distilled topology a worker rebuilds is identical to
-// the coordinator's).
-func EncodeTopology(g *topology.Graph) []byte {
-	var e Enc
-	e.U32(uint32(g.NumNodes()))
-	for _, n := range g.Nodes {
-		e.U8(uint8(n.Kind))
-		e.Str(n.Name)
-	}
-	e.U32(uint32(g.NumLinks()))
-	for _, l := range g.Links {
-		e.U32(uint32(l.Src))
-		e.U32(uint32(l.Dst))
-		e.F64(l.Attr.BandwidthBps)
-		e.F64(l.Attr.LatencySec)
-		e.F64(l.Attr.LossRate)
-		e.I32(int32(l.Attr.QueuePkts))
-		e.F64(l.Attr.Cost)
-	}
-	return e.Bytes()
-}
-
-// DecodeTopology rebuilds a graph from EncodeTopology output. Node and link
-// IDs are reconstructed densely in order, so they match the source graph.
-func DecodeTopology(b []byte) (*topology.Graph, error) {
-	d := NewDec(b)
-	g := topology.New()
-	nNodes := d.Len(2)
-	for i := 0; i < nNodes; i++ {
-		kind := d.U8()
-		name := d.Str()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if kind > uint8(topology.Transit) {
-			return nil, fmt.Errorf("wire: node %d has unknown kind %d", i, kind)
-		}
-		g.AddNode(topology.NodeKind(kind), name)
-	}
-	nLinks := d.Len(40)
-	for i := 0; i < nLinks; i++ {
-		src := d.U32()
-		dst := d.U32()
-		attr := topology.LinkAttrs{
-			BandwidthBps: d.F64(),
-			LatencySec:   d.F64(),
-			LossRate:     d.F64(),
-			QueuePkts:    int(d.I32()),
-			Cost:         d.F64(),
-		}
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if int(src) >= nNodes || int(dst) >= nNodes {
-			return nil, fmt.Errorf("wire: link %d endpoint out of range", i)
-		}
-		g.AddLink(topology.NodeID(src), topology.NodeID(dst), attr)
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// EncodeAssignment serializes a pipe->core ownership vector.
-func EncodeAssignment(owner []int, cores int) []byte {
-	var e Enc
-	e.U32(uint32(cores))
-	e.U32(uint32(len(owner)))
-	for _, o := range owner {
-		e.U32(uint32(o))
-	}
-	return e.Bytes()
-}
-
-// DecodeAssignment parses EncodeAssignment output.
-func DecodeAssignment(b []byte) (owner []int, cores int, err error) {
-	d := NewDec(b)
-	cores = int(d.U32())
-	n := d.Len(4)
-	owner = make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		owner = append(owner, int(d.U32()))
-	}
-	if err := d.Done(); err != nil {
-		return nil, 0, err
-	}
-	if cores < 1 || cores > 1<<16 {
-		return nil, 0, fmt.Errorf("wire: assignment with %d cores", cores)
-	}
-	for i, o := range owner {
-		if o < 0 || o >= cores {
-			return nil, 0, fmt.Errorf("wire: pipe %d owned by core %d of %d", i, o, cores)
-		}
-	}
-	return owner, cores, nil
 }

@@ -1,14 +1,13 @@
 package wire
 
-// Sharded setup codec (protocol v7). Instead of one monolithic TSetup frame
-// carrying the whole world, the coordinator streams each worker a handful of
-// setup *sections* — run config, the worker's shard view, the VN world map,
-// the dynamics spec — as TSetupChunk frames bounded by SetupChunkBytes, so
-// setup size scales with the shard, not the world, and no frame approaches
-// MaxFrame. The worker reassembles sections with a ChunkAssembler that
-// rejects out-of-order, duplicate, and post-completion chunks; a section
-// whose final chunk never arrives stays incomplete and setup fails loudly
-// instead of decoding a truncated blob.
+// Sharded setup codec (protocol v7), the only setup path. The coordinator
+// streams each worker a handful of setup *sections* — run config, the
+// worker's shard view, the VN world map, the dynamics spec — as TSetupChunk
+// frames bounded by SetupChunkBytes, so setup size scales with the shard,
+// not the world, and no frame approaches MaxFrame. The worker reassembles
+// sections with a ChunkAssembler that rejects out-of-order, duplicate, and
+// post-completion chunks; a section whose final chunk never arrives stays
+// incomplete and setup fails loudly instead of decoding a truncated blob.
 //
 // The TRouteReq/TRouteResp pair is the demand-paging RPC behind
 // bind.ShardTable: a worker that needs the frontier summary distances for a
@@ -206,7 +205,7 @@ func DecodeWorld(b []byte) (World, error) {
 }
 
 // EncodeShardView serializes a shard view bit-exactly (link attributes
-// travel as raw float bits, like EncodeTopology).
+// travel as raw float bits, so the worker's links are the coordinator's).
 func EncodeShardView(v *bind.ShardView) []byte {
 	var e Enc
 	e.I32(int32(v.Shard))

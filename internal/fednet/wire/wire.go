@@ -1,9 +1,8 @@
 // Package wire is the federation wire protocol: a compact, versioned,
 // length-prefixed binary codec for everything that crosses a machine
 // boundary in a federated run — control-plane synchronization messages,
-// topology and assignment distribution, and the data-plane tunnel messages
-// (including eager-mode pre-announcements) that carry packets between core
-// processes.
+// sharded setup distribution, and the data-plane tunnel messages (including
+// eager-mode pre-announcements) that carry packets between core processes.
 //
 // Every frame is
 //
@@ -26,17 +25,17 @@ import (
 // rejected at the first frame. Version 2 made the payload registry
 // recursive: packet payloads travel as one self-delimiting registry
 // encoding (u16 id + body, nested payloads inline) instead of a flat
-// (type, blob) pair. Version 3 gave the TFlush frame a body (the global
+// (type, blob) pair. Version 3 gave the flush frame a body (the global
 // clock floor live edge gateways stamp ingress admissions with) and the
 // TSetupAck frame a JSON body (the worker's gateway lease report).
-// Version 4 added a fourth blob to the TSetup frame: the link-dynamics
+// Version 4 added a fourth blob to the setup frame: the link-dynamics
 // spec (dynamics.Encode), empty when the run has none.
 // Version 5 added the observability layer: a Trace u64 (the mode-invariant
 // packet trace ID) in every PacketWire, and the TTrace frame streaming a
 // worker's recorded trace events to the coordinator before its TReport.
-// Version 6 is the adaptive-synchronization protocol: TReady carries the
-// per-peer SafeTo bound vector, TWindow bounds become per-worker grants, the
-// TStep/TStepDone pair piggybacks flush + sync + window control into one
+// Version 6 is the adaptive-synchronization protocol: the ready frame carries
+// the per-peer SafeTo bound vector, window bounds become per-worker grants,
+// the TStep/TStepDone pair piggybacks flush + sync + window control into one
 // round trip per window, and TDataBatch carries a flush close marker (the
 // sender's cumulative channel count when a batch ends a flush) so a lost
 // datagram is diagnosable instead of a silent timeout.
@@ -50,33 +49,35 @@ import (
 // barriers, and the TFail/TRecover/TRewire/TResend/TAck frames drive
 // fault injection, worker respawn, data-plane rewiring, and per-channel
 // message-log retransmission.
-const Version = 8
+// Version 9 is the one-path protocol: every run boots through TSetupChunk
+// and synchronizes through TStep/TStepDone, whose Floor now stamps live
+// gateway admissions made after the step's window; the monolithic setup
+// frame, the split flush/sync/window rounds and the single-message data
+// frame are gone, their type numbers retired.
+const Version = 9
 
 // MaxFrame bounds a frame's length field: anything larger is treated as
 // corruption rather than an allocation request.
 const MaxFrame = 64 << 20
 
-// Frame types. Control types travel coordinator<->worker over TCP; TData
-// travels worker<->worker on the data plane.
+// Frame types. Control types travel coordinator<->worker over TCP;
+// TDataBatch and TResend travel worker<->worker on the data plane. Numbers
+// are never reused: 2 (the monolithic setup frame), 4–9 (the split barrier's
+// flush, sync and window frames with their replies) and 15 (the
+// single-message data frame) are retired in version 9 and stay reserved, so
+// a stray frame from an older peer fails loudly instead of decoding as
+// something else.
 const (
 	THello      uint8 = 1  // worker -> coordinator: join (JSON body)
-	TSetup      uint8 = 2  // coordinator -> worker: config + topology + assignment (incl. any gateway lease)
 	TSetupAck   uint8 = 3  // worker -> coordinator: mesh + gateway up (JSON body)
-	TFlush      uint8 = 4  // coordinator -> worker: flush outbox to peers (body: clock floor for live ingress)
-	TFlushDone  uint8 = 5  // worker -> coordinator: cumulative sent counts
-	TSync       uint8 = 6  // coordinator -> worker: await + apply inbox
-	TReady      uint8 = 7  // worker -> coordinator: bounds after apply
-	TWindow     uint8 = 8  // coordinator -> worker: run a window
-	TWindowDone uint8 = 9  // worker -> coordinator: window complete + sent counts
 	TDrain      uint8 = 10 // coordinator -> worker: one serial drain turn
 	TDrainDone  uint8 = 11 // worker -> coordinator: drain turn complete
 	TFinish     uint8 = 12 // coordinator -> worker: stop and report
 	TReport     uint8 = 13 // worker -> coordinator: final report (JSON body)
 	TError      uint8 = 14 // either direction: fatal error (text body)
-	TData       uint8 = 15 // worker -> worker: one cross-core tunnel message
 	TDataBatch  uint8 = 16 // worker -> worker: a dense run of tunnel messages
 	TTrace      uint8 = 17 // worker -> coordinator: a chunk of trace events (before TReport)
-	TStep       uint8 = 18 // coordinator -> worker: one fused barrier step (await + apply + run + flush)
+	TStep       uint8 = 18 // coordinator -> worker: one fused barrier step (await + apply + run + admit + flush)
 	TStepDone   uint8 = 19 // worker -> coordinator: step complete: counts + post-step bounds
 	TSetupChunk uint8 = 20 // coordinator -> worker: one chunk of a sharded setup section
 	TRouteReq   uint8 = 21 // worker -> coordinator: demand-page one route summary (epoch, target)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"modelnet/internal/pipes"
-	"modelnet/internal/topology"
 	"modelnet/internal/vtime"
 )
 
@@ -34,7 +33,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejectsBadVersion(t *testing.T) {
-	raw := AppendFrame(nil, TData, []byte("x"))
+	raw := AppendFrame(nil, TDataBatch, []byte("x"))
 	raw[4] = Version + 1
 	if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("version mismatch accepted")
@@ -45,7 +44,7 @@ func TestFrameRejectsBadVersion(t *testing.T) {
 }
 
 func TestParseFrameLengthMismatch(t *testing.T) {
-	raw := AppendFrame(nil, TData, []byte("abc"))
+	raw := AppendFrame(nil, TDataBatch, []byte("abc"))
 	if _, _, err := ParseFrame(raw[:len(raw)-1]); err == nil {
 		t.Fatal("truncated datagram accepted")
 	}
@@ -55,31 +54,26 @@ func TestParseFrameLengthMismatch(t *testing.T) {
 }
 
 func TestSyncMessageRoundTrips(t *testing.T) {
-	w, err := DecodeWindow(Window{Bound: -5}.Encode())
-	if err != nil || w.Bound != -5 {
-		t.Fatalf("window: %+v, %v", w, err)
-	}
 	c, err := DecodeCounts(Counts{Now: 42, Sent: []uint64{1, 0, 7}}.Encode())
 	if err != nil || c.Now != 42 || !reflect.DeepEqual(c.Sent, []uint64{1, 0, 7}) {
 		t.Fatalf("counts: %+v, %v", c, err)
 	}
-	s, err := DecodeSync(Sync{Expect: []uint64{9, 0}}.Encode())
-	if err != nil || !reflect.DeepEqual(s.Expect, []uint64{9, 0}) {
-		t.Fatalf("sync: %+v, %v", s, err)
-	}
-	r, err := DecodeReady(Ready{Next: 1, Safe: 2}.Encode())
-	if err != nil || r.Next != 1 || r.Safe != 2 || r.SafeTo != nil {
-		t.Fatalf("ready: %+v, %v", r, err)
-	}
-	r, err = DecodeReady(Ready{Next: 1, Safe: 2, SafeTo: []int64{9, -1, 4}}.Encode())
-	if err != nil || !reflect.DeepEqual(r.SafeTo, []int64{9, -1, 4}) {
-		t.Fatalf("ready with SafeTo: %+v, %v", r, err)
-	}
 	st, err := DecodeStep(Step{Floor: 11, Grant: -1, Expect: []uint64{2, 0}}.Encode())
-	if err != nil || st.Floor != 11 || st.Grant != -1 || !reflect.DeepEqual(st.Expect, []uint64{2, 0}) {
+	if err != nil || st.Floor != 11 || st.Grant != -1 || st.Ckpt || !reflect.DeepEqual(st.Expect, []uint64{2, 0}) {
 		t.Fatalf("step: %+v, %v", st, err)
 	}
-	sd, err := DecodeStepDone(StepDone{
+	st, err = DecodeStep(Step{Floor: 123456789, Grant: 99, Ckpt: true, Expect: []uint64{9, 0}}.Encode())
+	if err != nil || st.Floor != 123456789 || st.Grant != 99 || !st.Ckpt {
+		t.Fatalf("checkpoint step: %+v, %v", st, err)
+	}
+	if _, err := DecodeStep([]byte{1, 2, 3}); err == nil {
+		t.Fatal("truncated step body should error")
+	}
+	sd, err := DecodeStepDone(StepDone{Counts: Counts{Now: 1, Sent: []uint64{0}}, Next: 1, Safe: 2}.Encode())
+	if err != nil || sd.Next != 1 || sd.Safe != 2 || sd.SafeTo != nil {
+		t.Fatalf("stepdone without SafeTo: %+v, %v", sd, err)
+	}
+	sd, err = DecodeStepDone(StepDone{
 		Counts: Counts{Now: 6, Sent: []uint64{1, 2}},
 		Next:   7, Safe: 8, SafeTo: []int64{3, 4},
 	}.Encode())
@@ -95,80 +89,14 @@ func TestSyncMessageRoundTrips(t *testing.T) {
 	if err != nil || !dd.Progressed || dd.Counts.Now != 8 || len(dd.Counts.Sent) != 1 {
 		t.Fatalf("draindone: %+v, %v", dd, err)
 	}
-	fl, err := DecodeFlush(Flush{Floor: 123456789}.Encode())
-	if err != nil || fl.Floor != 123456789 {
-		t.Fatalf("flush: %+v, %v", fl, err)
-	}
-	// An empty flush body is the pre-live protocol: floor zero.
-	fl, err = DecodeFlush(nil)
-	if err != nil || fl.Floor != 0 {
-		t.Fatalf("empty flush: %+v, %v", fl, err)
-	}
-	if _, err := DecodeFlush([]byte{1, 2, 3}); err == nil {
-		t.Fatal("truncated flush body should error")
-	}
-}
-
-func TestDataRoundTrip(t *testing.T) {
-	pkt := &pipes.Packet{
-		Seq:      1<<48 | 77,
-		Size:     1028,
-		Src:      3,
-		Dst:      250,
-		Route:    []pipes.ID{4, 9, 1},
-		Hop:      1,
-		Injected: vtime.Time(12345),
-		Lag:      vtime.Duration(6),
-	}
-	pw, err := EncodePacket(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Data{Sender: 2, Seq: 10, Kind: KindTunnel, Pid: 9, At: 100, Lag: 0, Fire: 200, Pkt: pw}
-	got, err := DecodeData(m.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := got.Pkt.Packet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, pkt) {
-		t.Fatalf("packet round trip:\n got %+v\nwant %+v", back, pkt)
-	}
-	if got.Sender != 2 || got.Seq != 10 || got.Fire != 200 {
-		t.Fatalf("envelope round trip: %+v", got)
-	}
-}
-
-func TestDataRejectsCorruptStructure(t *testing.T) {
-	pw, _ := EncodePacket(&pipes.Packet{Route: []pipes.ID{1}, Hop: 0})
-	cases := []Data{
-		{Kind: 9, Pkt: pw},                   // unknown kind
-		{Kind: KindTunnel, Pid: -1, Pkt: pw}, // tunnel without a pipe
-	}
-	for i, m := range cases {
-		if _, err := DecodeData(m.Encode()); err == nil {
-			t.Fatalf("case %d accepted", i)
-		}
-	}
-	bad := Data{Kind: KindDelivery, Pid: -1, Pkt: pw}
-	raw := bad.Encode()
-	if _, err := DecodeData(raw); err != nil {
-		t.Fatalf("valid message rejected: %v", err)
-	}
-	for cut := 0; cut < len(raw); cut++ {
-		if _, err := DecodeData(raw[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
 }
 
 func TestDataBatchRoundTrip(t *testing.T) {
-	pw1, err := EncodePacket(&pipes.Packet{
-		Seq: 9, Size: 500, Src: 1, Dst: 2, Route: []pipes.ID{0, 3}, Hop: 1,
-		Injected: vtime.Time(50), Lag: vtime.Duration(2),
-	})
+	pkt1 := &pipes.Packet{
+		Seq: 1<<48 | 77, Size: 500, Src: 1, Dst: 250, Route: []pipes.ID{0, 3, 1}, Hop: 1,
+		Injected: vtime.Time(12345), Lag: vtime.Duration(2),
+	}
+	pw1, err := EncodePacket(pkt1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +135,9 @@ func TestDataBatchRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gp, wp) {
 			t.Fatalf("element %d packet round trip:\n got %+v\nwant %+v", i, gp, wp)
+		}
+		if i == 0 && !reflect.DeepEqual(gp, pkt1) {
+			t.Fatalf("live packet round trip:\n got %+v\nwant %+v", gp, pkt1)
 		}
 	}
 	if !bytes.Equal(got.Encode(), raw) {
@@ -264,37 +195,5 @@ func TestUnregisteredPayloadErrors(t *testing.T) {
 	}
 	if _, err := DecodePayload([]byte{0xfe, 0xff}); err == nil {
 		t.Fatal("unregistered payload id decoded")
-	}
-}
-
-func TestTopologyRoundTripExact(t *testing.T) {
-	g := topology.New()
-	a := g.AddNode(topology.Stub, "r0")
-	b := g.AddNode(topology.Transit, "")
-	c := g.AddNode(topology.Client, "vn0")
-	g.AddDuplex(a, b, topology.LinkAttrs{BandwidthBps: 1e9 / 3, LatencySec: 0.00512345678901, QueuePkts: 30})
-	g.AddLink(c, a, topology.LinkAttrs{BandwidthBps: 2e6, LatencySec: 1e-3, LossRate: 0.015, Cost: 2.25})
-	got, err := DecodeTopology(EncodeTopology(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Nodes, g.Nodes) || !reflect.DeepEqual(got.Links, g.Links) {
-		t.Fatalf("topology round trip diverged")
-	}
-	for n := range g.Nodes {
-		if !reflect.DeepEqual(got.Out(topology.NodeID(n)), g.Out(topology.NodeID(n))) {
-			t.Fatalf("adjacency of node %d diverged", n)
-		}
-	}
-}
-
-func TestAssignmentRoundTrip(t *testing.T) {
-	owner := []int{0, 1, 1, 2, 0}
-	got, cores, err := DecodeAssignment(EncodeAssignment(owner, 3))
-	if err != nil || cores != 3 || !reflect.DeepEqual(got, owner) {
-		t.Fatalf("got %v cores=%d err=%v", got, cores, err)
-	}
-	if _, _, err := DecodeAssignment(EncodeAssignment([]int{5}, 3)); err == nil {
-		t.Fatal("out-of-range owner accepted")
 	}
 }

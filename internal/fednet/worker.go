@@ -86,9 +86,9 @@ type workerState struct {
 	dp     *dataPlane
 	gw     *edge.Gateway // live edge gateway; nil without a homed lease
 
-	// table is the shard-local route table under sharded distribution; nil
-	// on the monolithic path. setupBytes and startupWallNs price what the
-	// distribution cost this worker (first-class BENCH columns).
+	// table is the shard-local, demand-paged route table. setupBytes and
+	// startupWallNs price what the distribution cost this worker
+	// (first-class BENCH columns).
 	table         *bind.ShardTable
 	setupBytes    uint64
 	startupWallNs int64
@@ -196,41 +196,31 @@ func (w *workerState) run() error {
 			return err
 		}
 	}
+	// The setup arrives as chunked sections: keep reading chunks until all
+	// four sections are complete.
 	start := time.Now()
-	switch typ {
-	case wire.TSetup:
-		w.setupBytes = uint64(len(body))
-		if err := w.setup(body, udp, tcpLn); err != nil {
+	asm := wire.NewChunkAssembler()
+	for {
+		if typ != wire.TSetupChunk {
+			return fmt.Errorf("fednet: expected setup chunk, got frame type %d", typ)
+		}
+		w.setupBytes += uint64(len(body))
+		ch, err := wire.DecodeSetupChunk(body)
+		if err != nil {
+			return fmt.Errorf("fednet: setup chunk: %w", err)
+		}
+		if err := asm.Add(ch); err != nil {
+			return fmt.Errorf("fednet: setup chunk: %w", err)
+		}
+		if _, err := asm.Require(wire.SecConfig, wire.SecView, wire.SecWorld, wire.SecDynamics); err == nil {
+			break
+		}
+		if typ, body, err = w.readControl(); err != nil {
 			return err
 		}
-	case wire.TSetupChunk:
-		// Sharded distribution: the setup arrives as chunked sections. Keep
-		// reading chunks until all four sections are complete.
-		asm := wire.NewChunkAssembler()
-		for {
-			w.setupBytes += uint64(len(body))
-			ch, err := wire.DecodeSetupChunk(body)
-			if err != nil {
-				return fmt.Errorf("fednet: setup chunk: %w", err)
-			}
-			if err := asm.Add(ch); err != nil {
-				return fmt.Errorf("fednet: setup chunk: %w", err)
-			}
-			if _, err := asm.Require(wire.SecConfig, wire.SecView, wire.SecWorld, wire.SecDynamics); err == nil {
-				break
-			}
-			if typ, body, err = w.readControl(); err != nil {
-				return err
-			}
-			if typ != wire.TSetupChunk {
-				return fmt.Errorf("fednet: expected setup chunk, got frame type %d", typ)
-			}
-		}
-		if err := w.setupSharded(asm, udp, tcpLn); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("fednet: expected setup, got frame type %d", typ)
+	}
+	if err := w.setup(asm, udp, tcpLn); err != nil {
+		return err
 	}
 	w.startupWallNs = int64(time.Since(start))
 	if !(w.cfg.Recoverable && w.cfg.DataPlane == DataTCP) {
@@ -284,74 +274,20 @@ func (w *workerState) decodeConfig(cfgJSON []byte) error {
 	return nil
 }
 
-// setup rebuilds the shard from the coordinator's monolithic distributed
-// state: the whole topology and assignment, routes recomputed locally. This
-// is the live-edge path; sharded runs arrive as setupSharded's chunks.
-func (w *workerState) setup(body []byte, udp *net.UDPConn, tcpLn net.Listener) error {
-	d := wire.NewDec(body)
-	cfgJSON := d.Blob()
-	topoBin := d.Blob()
-	asnBin := d.Blob()
-	dynBin := d.Blob()
-	if err := d.Done(); err != nil {
-		return fmt.Errorf("fednet: setup frame: %w", err)
-	}
-	if err := w.decodeConfig(cfgJSON); err != nil {
-		return err
-	}
-	cfg := &w.cfg
-	g, err := wire.DecodeTopology(topoBin)
-	if err != nil {
-		return fmt.Errorf("fednet: setup topology: %w", err)
-	}
-	owner, cores, err := wire.DecodeAssignment(asnBin)
-	if err != nil {
-		return fmt.Errorf("fednet: setup assignment: %w", err)
-	}
-	var dyn *dynamics.Spec
-	if len(dynBin) > 0 {
-		if dyn, err = dynamics.Decode(dynBin); err != nil {
-			return fmt.Errorf("fednet: setup dynamics: %w", err)
-		}
-	}
-	if cores != cfg.Cores || len(owner) != g.NumLinks() {
-		return fmt.Errorf("fednet: assignment covers %d pipes on %d cores, topology has %d links and setup %d cores",
-			len(owner), cores, g.NumLinks(), cfg.Cores)
-	}
-
-	// Rebuild the Bind phase exactly as the coordinator's modelnet.Run
-	// would: same inputs, deterministic outputs.
-	pod := bind.NewPOD(owner, cores)
-	b, err := bind.Bind(g, bind.Options{
-		EdgeNodes:    cfg.EdgeNodes,
-		Cores:        cores,
-		RouteCache:   cfg.RouteCache,
-		Hierarchical: cfg.Hierarchical,
-	})
-	if err != nil {
-		return fmt.Errorf("fednet: bind: %w", err)
-	}
-	homes := parcore.Homes(g, b, pod, cores)
-	return w.build(g, b, pod, homes, dyn, udp, tcpLn)
-}
-
-// setupSharded rebuilds the shard from its chunked per-shard view: a
-// skeleton graph over the global ID spaces with only the view's links real,
-// a hand-assembled binding from the shipped VN world map (bind.Bind's client
+// setup rebuilds the shard from its chunked per-shard view: a skeleton
+// graph over the global ID spaces with only the view's links real, a
+// hand-assembled binding from the shipped VN world map (bind.Bind's client
 // scan would misread a skeleton), and a demand-paged ShardTable in place of
 // the O(n²) route matrix.
-func (w *workerState) setupSharded(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn net.Listener) error {
+func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn net.Listener) error {
 	secs, err := asm.Require(wire.SecConfig, wire.SecView, wire.SecWorld, wire.SecDynamics)
 	if err != nil {
-		return fmt.Errorf("fednet: sharded setup: %w", err)
+		return fmt.Errorf("fednet: setup: %w", err)
 	}
 	if err := w.decodeConfig(secs[wire.SecConfig]); err != nil {
 		return err
 	}
 	cfg := &w.cfg
-	if !cfg.Sharded {
-		return fmt.Errorf("fednet: chunked setup without the sharded flag")
-	}
 	view, err := wire.DecodeShardView(secs[wire.SecView])
 	if err != nil {
 		return fmt.Errorf("fednet: setup view: %w", err)
@@ -462,9 +398,8 @@ func (w *workerState) routeSeed(epoch int32, target topology.NodeID) ([]bind.Dis
 	return m.Dists, nil
 }
 
-// build finishes shard construction from either setup path: sync plan,
-// scheduler, emulator (sparse under a shard table), dynamics, data plane,
-// scenario install, gateway.
+// build finishes shard construction: sync plan, scheduler, sparse
+// emulator, dynamics, data plane, scenario install, gateway.
 func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, dyn *dynamics.Spec, udp *net.UDPConn, tcpLn net.Listener) error {
 	cfg := &w.cfg
 	cores := cfg.Cores
@@ -479,11 +414,7 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 	}
 	w.sched = vtime.NewScheduler()
 	w.outbox = parcore.NewOutbox(cfg.Shard, cores, w.sched)
-	if w.table != nil {
-		w.emu, err = emucore.NewShardSparse(w.sched, g, b, pod, cfg.Profile, cfg.Seed, cfg.Shard, homes, w.outbox.Handoff)
-	} else {
-		w.emu, err = emucore.NewShard(w.sched, g, b, pod, cfg.Profile, cfg.Seed, cfg.Shard, homes, w.outbox.Handoff)
-	}
+	w.emu, err = emucore.NewShardSparse(w.sched, g, b, pod, cfg.Profile, cfg.Seed, cfg.Shard, homes, w.outbox.Handoff)
 	if err != nil {
 		return fmt.Errorf("fednet: shard emulator: %w", err)
 	}
@@ -509,9 +440,9 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 		return fmt.Errorf("fednet: dynamics: %w", err)
 	}
 	w.eng = eng
-	if eng != nil && w.table != nil {
-		// Sharded workers have no global matrix to rebuild; a reroute just
-		// advances the table to the next preloaded epoch.
+	if eng != nil {
+		// There is no global matrix to rebuild; a reroute just advances the
+		// table to the next preloaded epoch.
 		eng.OnReroute = func([]topology.LinkID) { w.table.Advance() }
 	}
 	if cfg.CollectDeliveries {
@@ -578,8 +509,7 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 
 // dataSender adapts the data plane to parcore.Sender: one batch frame
 // sequence per (flush, peer), messages stamped with dense channel
-// sequences, cumulative counters updated per message so the barrier
-// accounting is byte-for-byte identical to the unbatched plane.
+// sequences, cumulative counters updated per message.
 type dataSender struct{ w *workerState }
 
 // Send implements parcore.Sender.
@@ -587,12 +517,12 @@ func (s dataSender) Send(j int, msgs []parcore.Msg) error {
 	w := s.w
 	tseq0 := w.sent[j] + 1
 	if w.rec != nil {
-		// Recoverable runs always batch and keep the encoded elements: the
-		// send log is what a peer's respawn replays. Append before sending —
-		// a concurrent recovery resend then either includes the element or
-		// the element's own send goes to the already-updated endpoint, so
-		// the respawned peer misses nothing (duplicates are dropped by its
-		// lenient collector).
+		// Recoverable runs keep the encoded elements: the send log is what a
+		// peer's respawn replays. Append before sending — a concurrent
+		// recovery resend then either includes the element or the element's
+		// own send goes to the already-updated endpoint, so the respawned
+		// peer misses nothing (duplicates are dropped by its lenient
+		// collector).
 		elems := make([][]byte, len(msgs))
 		for i, m := range msgs {
 			d, err := wireMsg(m)
@@ -604,12 +534,6 @@ func (s dataSender) Send(j int, msgs []parcore.Msg) error {
 		w.rec.append(j, elems)
 		if err := w.dp.sendElems(j, elems, tseq0, tseq0+uint64(len(elems))-1); err != nil {
 			return err
-		}
-	} else if w.cfg.NoBatch {
-		for i, m := range msgs {
-			if err := w.dp.send(j, m, tseq0+uint64(i)); err != nil {
-				return err
-			}
 		}
 	} else if err := w.dp.sendBatch(j, msgs, tseq0); err != nil {
 		return err
@@ -630,12 +554,8 @@ func (w *workerState) flushOutbox() error {
 // extendRoutes grows each tunneled packet's route segment through this
 // shard's region under the packet's pinned reroute epoch (bind.ShardTable
 // route segments end at the first foreign pipe). Must run before the applier
-// so synchronization pricing sees the extended route. No-op on the
-// monolithic path, whose routes are complete at injection.
+// so synchronization pricing sees the extended route.
 func (w *workerState) extendRoutes(msgs []parcore.Msg) error {
-	if w.table == nil {
-		return nil
-	}
 	for _, m := range msgs {
 		if m.Pid < 0 || m.Pkt == nil {
 			continue // delivery completion, not a tunneled enqueue
@@ -662,73 +582,6 @@ func (w *workerState) serve() error {
 			return err
 		}
 		switch typ {
-		case wire.TFlush:
-			t0 := time.Now()
-			// Barrier edge: admit any live real-world arrivals before the
-			// flush, stamped no earlier than the coordinator's clock floor.
-			// The injections become ordinary scheduler events, so the
-			// bounds reported at the sync step already account for them.
-			if w.gw != nil {
-				m, err := wire.DecodeFlush(body)
-				if err != nil {
-					return err
-				}
-				w.gw.Admit(vtime.Time(m.Floor))
-			}
-			if err := w.flushOutbox(); err != nil {
-				return err
-			}
-			w.prof.FlushWallNs += uint64(time.Since(t0))
-			w.updateMetrics()
-			if err := w.send(wire.TFlushDone, w.counts().Encode()); err != nil {
-				return err
-			}
-		case wire.TSync:
-			m, err := wire.DecodeSync(body)
-			if err != nil {
-				return err
-			}
-			t0 := time.Now()
-			msgs, err := w.col.wait(m.Expect, w.opts.Timeout)
-			if err != nil {
-				return err
-			}
-			t1 := time.Now()
-			w.prof.WaitWallNs += uint64(t1.Sub(t0))
-			if err := w.extendRoutes(msgs); err != nil {
-				return err
-			}
-			if err := w.applier.Apply(msgs); err != nil {
-				return err
-			}
-			w.prof.ApplyWallNs += uint64(time.Since(t1))
-			b := parcore.ShardBounds(w.sched, w.emu, w.sync, w.applier)
-			rdy := wire.Ready{Next: int64(b.Next), Safe: int64(b.Safe), SafeTo: timesToI64(b.SafeTo)}
-			if err := w.send(wire.TReady, rdy.Encode()); err != nil {
-				return err
-			}
-		case wire.TWindow:
-			m, err := wire.DecodeWindow(body)
-			if err != nil {
-				return err
-			}
-			t0 := time.Now()
-			f0 := w.sched.Fired()
-			w.sched.RunUntil(vtime.Time(m.Bound))
-			w.prof.RunWallNs += uint64(time.Since(t0))
-			w.prof.Windows++
-			if fired := w.sched.Fired() - f0; fired > 0 {
-				w.prof.ActiveWindows++
-				w.prof.EventsFired += fired
-			}
-			if err := w.flushOutbox(); err != nil {
-				return err
-			}
-			w.metrics.AddWindows(1)
-			w.updateMetrics()
-			if err := w.send(wire.TWindowDone, w.counts().Encode()); err != nil {
-				return err
-			}
 		case wire.TStep:
 			w.stepsSeen++
 			if w.failAt > 0 && w.stepsSeen == w.failAt {
@@ -788,19 +641,24 @@ func (w *workerState) serve() error {
 	}
 }
 
-// step serves one fused TStep round: await the expectation prefixes, apply
-// the inbox, run the shard through the grant (skipped on a bounds-only
-// step), flush the outbox — apply can emit eager handoffs even without a
-// run, and an unflushed handoff would be invisible to both the bounds below
-// and the coordinator's in-flight accounting — then report counts and
-// post-step bounds in one TStepDone.
+// step serves one fused TStep round: snapshot the gateway's queued live
+// arrivals, await the expectation prefixes, apply the inbox, run the shard
+// through the grant (skipped on a bounds-only step), admit the snapshot at
+// max(local clock, Floor) — the floor is no lower than any peer's grant, so
+// no peer has run past an admission, and the admission lands in the bounds
+// the next grants come from — then flush the outbox (apply can emit eager
+// handoffs even without a run, and an unflushed handoff would be invisible
+// to both the bounds below and the coordinator's in-flight accounting) and
+// report counts and post-step bounds in one TStepDone. Arrivals after the
+// snapshot wait for the next step.
 func (w *workerState) step(body []byte) error {
 	m, err := wire.DecodeStep(body)
 	if err != nil {
 		return err
 	}
+	var arrivals edge.Arrivals
 	if w.gw != nil {
-		w.gw.Admit(vtime.Time(m.Floor))
+		arrivals = w.gw.Take()
 	}
 	t0 := time.Now()
 	msgs, err := w.col.wait(m.Expect, w.opts.Timeout)
@@ -828,6 +686,7 @@ func (w *workerState) step(body []byte) error {
 		}
 		w.metrics.AddWindows(1)
 	}
+	arrivals.Admit(vtime.Time(m.Floor))
 	f1 := time.Now()
 	if err := w.flushOutbox(); err != nil {
 		return err
@@ -905,9 +764,7 @@ func (w *workerState) finish() error {
 		PipeDrops:         make([]uint64, w.emu.NumPipes()),
 		Profile:           w.prof,
 	}
-	if w.table != nil {
-		rep.RouteRPCs = w.table.SeedRPCs
-	}
+	rep.RouteRPCs = w.table.SeedRPCs
 	for i := range rep.PipeDrops {
 		// Unmaterialized slots (sparse shard views) have no pipe to ask.
 		if p := w.emu.Pipe(pipes.ID(i)); p != nil {

@@ -204,17 +204,14 @@ type FederateOptions struct {
 	// CollectDeliveries records every delivery's virtual time in the
 	// report (the cross-mode determinism probe).
 	CollectDeliveries bool
-	// NoBatch reverts the data plane to one frame (and one syscall) per
-	// cross-core tunnel message. By default each window's messages per
-	// peer coalesce into MTU-bounded batch frames (CLI: -batch=0).
-	NoBatch bool
-	// MaxDatagram bounds one UDP data-plane frame in bytes; batches are
-	// chunked to fit. 0 means fednet.DefaultMaxDatagram.
+	// MaxDatagram bounds one UDP data-plane frame in bytes: each window's
+	// cross-core messages per peer coalesce into batch frames chunked to
+	// fit. 0 means fednet.DefaultMaxDatagram.
 	MaxDatagram int
 	// Edge is the live edge gateway lease (internal/edge): real UDP
 	// sockets on the workers, mapped onto ingress VNs, so unmodified
 	// external processes can exchange packets with the emulated core.
-	// Live runs usually also want RealTime. See DESIGN.md §4.
+	// Requires RealTime. See DESIGN.md §4.
 	Edge *edge.GatewayConfig
 	// RealTime slaves window release to the wall clock (virtual ns = wall
 	// ns, the paper's 10 kHz-timer role); requires a finite run duration.
@@ -235,7 +232,9 @@ type FederateOptions struct {
 	// checkpoint barriers, and when a worker process dies mid-run it is
 	// respawned and caught up by deterministic round replay. The
 	// recovered run's counters, deliveries, and canonical trace are
-	// byte-identical to a never-crashed run. See DESIGN.md §8.
+	// byte-identical to a never-crashed run. Paced (RealTime) runs
+	// recover too; Edge runs cannot, because gateway admissions are
+	// wall-clock facts outside the round log. See DESIGN.md §8.
 	Recover bool
 	// CkptEvery is the checkpoint period in step rounds (0 =
 	// fednet.DefaultCkptEvery).
@@ -258,9 +257,11 @@ type FederationReport = fednet.Report
 // Federate runs a registered federation scenario (internal/fednet;
 // internal/experiments registers "ring-cbr" and "gnutella-ring") for
 // runFor virtual time across Options.Cores worker processes. The usual
-// Options fields — Cores, Seed, Profile, Distill, EdgeNodes, RouteCache,
-// HierarchicalRoutes — mean what they mean for Run; Options.Federate
-// supplies the socket-layer knobs.
+// Options fields — Cores, Seed, Profile, Distill, EdgeNodes, Sync,
+// Dynamics, Trace — mean what they mean for Run; RouteCache and
+// HierarchicalRoutes apply to Run only (federated workers route through
+// demand-paged shard tables). Options.Federate supplies the socket-layer
+// knobs.
 func Federate(scenario string, params any, runFor Duration, opts Options) (*FederationReport, error) {
 	fo := FederateOptions{}
 	if opts.Federate != nil {
@@ -274,9 +275,7 @@ func Federate(scenario string, params any, runFor Duration, opts Options) (*Fede
 		Profile:  opts.Profile,
 		Distill:  opts.Distill,
 
-		EdgeNodes:    opts.EdgeNodes,
-		RouteCache:   opts.RouteCache,
-		Hierarchical: opts.HierarchicalRoutes,
+		EdgeNodes: opts.EdgeNodes,
 
 		RunFor:            runFor,
 		Sync:              opts.Sync,
@@ -287,7 +286,6 @@ func Federate(scenario string, params any, runFor Duration, opts Options) (*Fede
 		DataPlane:         fo.DataPlane,
 		Spawn:             fo.Spawn,
 		CollectDeliveries: fo.CollectDeliveries,
-		NoBatch:           fo.NoBatch,
 		MaxDatagram:       fo.MaxDatagram,
 		Edge:              fo.Edge,
 		RealTime:          fo.RealTime,
