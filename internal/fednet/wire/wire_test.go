@@ -91,12 +91,73 @@ func TestSyncMessageRoundTrips(t *testing.T) {
 	}
 }
 
+// TestDataRoundTrip carries one live packet as a one-element batch, the
+// smallest TDataBatch frame, and checks packet and envelope come back whole.
+func TestDataRoundTrip(t *testing.T) {
+	pkt := &pipes.Packet{
+		Seq:      1<<48 | 77,
+		Size:     1028,
+		Src:      3,
+		Dst:      250,
+		Route:    []pipes.ID{4, 9, 1},
+		Hop:      1,
+		Injected: vtime.Time(12345),
+		Lag:      vtime.Duration(6),
+	}
+	pw, err := EncodePacket(pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := DataBatch{Sender: 2, TSeq0: 1, Msgs: []DataMsg{{Seq: 10, Kind: KindTunnel, Pid: 9, At: 100, Lag: 0, Fire: 200, Pkt: pw}}}
+	got, err := DecodeDataBatch(b.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Msgs) != 1 {
+		t.Fatalf("one-element batch decoded to %d elements", len(got.Msgs))
+	}
+	back, err := got.Msgs[0].Pkt.Packet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, pkt) {
+		t.Fatalf("packet round trip:\n got %+v\nwant %+v", back, pkt)
+	}
+	if m := got.Msgs[0]; got.Sender != 2 || m.Seq != 10 || m.Kind != KindTunnel || m.Pid != 9 || m.At != 100 || m.Fire != 200 {
+		t.Fatalf("envelope round trip: %+v", got)
+	}
+}
+
+// TestDataRejectsCorruptStructure checks the per-message structure rules on a
+// one-element batch: unknown kinds, tunnels without a pipe and every
+// truncation are refused, a well-formed delivery is accepted.
+func TestDataRejectsCorruptStructure(t *testing.T) {
+	pw, _ := EncodePacket(&pipes.Packet{Route: []pipes.ID{1}, Hop: 0})
+	cases := []DataMsg{
+		{Kind: 9, Pkt: pw},                   // unknown kind
+		{Kind: KindTunnel, Pid: -1, Pkt: pw}, // tunnel without a pipe
+	}
+	for i, m := range cases {
+		if _, err := DecodeDataBatch(DataBatch{TSeq0: 1, Msgs: []DataMsg{m}}.Encode()); err == nil {
+			t.Fatalf("case %d accepted", i)
+		}
+	}
+	raw := DataBatch{TSeq0: 1, Msgs: []DataMsg{{Kind: KindDelivery, Pid: -1, Pkt: pw}}}.Encode()
+	if _, err := DecodeDataBatch(raw); err != nil {
+		t.Fatalf("valid message rejected: %v", err)
+	}
+	for cut := 0; cut < len(raw); cut++ {
+		if _, err := DecodeDataBatch(raw[:cut]); err == nil {
+			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+}
+
 func TestDataBatchRoundTrip(t *testing.T) {
-	pkt1 := &pipes.Packet{
+	pw1, err := EncodePacket(&pipes.Packet{
 		Seq: 1<<48 | 77, Size: 500, Src: 1, Dst: 250, Route: []pipes.ID{0, 3, 1}, Hop: 1,
 		Injected: vtime.Time(12345), Lag: vtime.Duration(2),
-	}
-	pw1, err := EncodePacket(pkt1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +196,6 @@ func TestDataBatchRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gp, wp) {
 			t.Fatalf("element %d packet round trip:\n got %+v\nwant %+v", i, gp, wp)
-		}
-		if i == 0 && !reflect.DeepEqual(gp, pkt1) {
-			t.Fatalf("live packet round trip:\n got %+v\nwant %+v", gp, pkt1)
 		}
 	}
 	if !bytes.Equal(got.Encode(), raw) {
