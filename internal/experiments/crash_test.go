@@ -9,7 +9,9 @@ package experiments
 // deterministic replay, and the sequential baseline is the referee.
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"modelnet"
@@ -171,6 +173,61 @@ func TestPacedSigkillRecovery(t *testing.T) {
 	}
 	if !equalU64(want.DropsByReason, got.DropsByReason) {
 		t.Errorf("drop taxonomy diverges:\n uncrashed %v\n recovered %v", want.DropsByReason, got.DropsByReason)
+	}
+}
+
+// TestDrainSigkillRecovery kills a worker at the start of a serial-drain
+// pass under the paper's resource-modeled core. A drain pass is a step round,
+// so the fault lands in one, and the respawned worker's replay byte-compares
+// every logged drain reply, post-pass bounds included, plus the checkpoint
+// digest a drain round pushed. The run must end with the uncrashed run's
+// counters and synchronization counts.
+func TestDrainSigkillRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns and kills worker subprocesses")
+	}
+	spec := drainRingSpec()
+	// Round 41 is the second pass of a drain whose first pass, round 40, is
+	// also a checkpoint round (DefaultCkptEvery = 4).
+	const killRound = 41
+	var injected []string
+	run := func(fail *fednet.FailSpec) *fednet.Report {
+		t.Helper()
+		return runPaperFederated(t, spec, func(o *fednet.Options) {
+			o.Recover = fail != nil
+			o.FailSpec = fail
+			o.Log = func(format string, args ...any) {
+				if line := fmt.Sprintf(format, args...); strings.Contains(line, "fault injection") {
+					injected = append(injected, line)
+				}
+			}
+		})
+	}
+	want := run(nil)
+	got := run(&fednet.FailSpec{Shard: 1, Round: killRound, Mode: fednet.FailSigkill})
+	if len(injected) != 1 || !strings.HasSuffix(injected[0], fmt.Sprintf("step round %d (drain pass)", killRound)) {
+		t.Fatalf("fault did not land in a drain pass: %q", injected)
+	}
+	if got.Recoveries != 1 {
+		t.Fatalf("%d recoveries, want 1", got.Recoveries)
+	}
+	if got.Totals != want.Totals {
+		t.Errorf("totals diverge:\n uncrashed %+v\n recovered %+v", want.Totals, got.Totals)
+	}
+	if got.Accuracy != want.Accuracy {
+		t.Errorf("accuracy diverges:\n uncrashed %+v\n recovered %+v", want.Accuracy, got.Accuracy)
+	}
+	if !equalU64(want.PipeDrops, got.PipeDrops) {
+		t.Errorf("per-pipe drops diverge:\n uncrashed %v\n recovered %v", want.PipeDrops, got.PipeDrops)
+	}
+	if !equalU64(want.DropsByReason, got.DropsByReason) {
+		t.Errorf("drop taxonomy diverges:\n uncrashed %v\n recovered %v", want.DropsByReason, got.DropsByReason)
+	}
+	if got.Sync.Windows != want.Sync.Windows || got.Sync.SerialRounds != want.Sync.SerialRounds ||
+		got.ControlRounds != want.ControlRounds {
+		t.Errorf("sync counts diverge: uncrashed %d windows / %d serial / %d control rounds, recovered %d / %d / %d",
+			want.Sync.Windows, want.Sync.SerialRounds, want.ControlRounds,
+			got.Sync.Windows, got.Sync.SerialRounds, got.ControlRounds)
 	}
 }
 

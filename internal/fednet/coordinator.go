@@ -248,6 +248,10 @@ type Report struct {
 	// Sync counts barrier activity; Messages is the number of cross-core
 	// tunnel messages that crossed real sockets.
 	Sync parcore.SyncStats
+	// ControlRounds counts the coordinator's step round trips after setup —
+	// windows, serial-drain passes and bounds-only steps — excluding
+	// recovery replays. Unlike wall time it is free of host noise.
+	ControlRounds uint64
 	// Frames and BytesOnWire sum the workers' data-plane costs: frames
 	// written (= syscalls on the UDP plane) and bytes with framing. The
 	// batched plane keeps Frames an order of magnitude under
@@ -301,6 +305,7 @@ func (r *Report) RunProfile() obs.RunProfile {
 		WallMS:         r.WallMS,
 		Windows:        r.Sync.Windows,
 		SerialRounds:   r.Sync.SerialRounds,
+		ControlRounds:  r.ControlRounds,
 		Messages:       r.Sync.Messages,
 		SyncMode:       r.SyncMode.String(),
 		GrantMinMS:     r.Sync.GrantMin().Seconds() * 1000,
@@ -516,7 +521,7 @@ func Run(opts Options) (*Report, error) {
 	}
 	tr := &coordTransport{
 		conns: conns, timeout: opts.Timeout, metrics: metrics, chain: chain,
-		oracle: oracle, spawned: spawned,
+		oracle: oracle, spawned: spawned, log: opts.Log,
 	}
 	tr.init(opts.Cores)
 	if opts.Recover {
@@ -621,6 +626,9 @@ func Run(opts Options) (*Report, error) {
 	}
 	rep.WallMS = float64(time.Since(begin).Microseconds()) / 1000
 	rep.Sync.Messages = tr.messages
+	rep.ControlRounds = uint64(tr.stepIdx)
+	opts.Log("fednet: drive done: %d windows, %d serial rounds, %d control rounds",
+		rep.Sync.Windows, rep.Sync.SerialRounds, rep.ControlRounds)
 	if tr.rec != nil {
 		rep.Recoveries = tr.rec.recoveries
 		rep.RecoveryWallNs = tr.rec.recoveryWallNs
@@ -761,16 +769,23 @@ type coordTransport struct {
 	// state is coherent).
 	metrics *obs.Metrics
 
-	// Every window is one fused TStep round: await + apply + run + admit +
-	// flush in one control round trip. Window performs the round; Exchange
-	// consumes the bounds it saved. chain is the reaction-chain matrix
-	// (parcore.DriveOpts.Chain) that compensates those pre-apply bounds.
+	// Every window and every serial-drain pass is one fused TStep round:
+	// await + apply + run + admit + flush in one control round trip. Window
+	// and DrainPass perform the round; Exchange consumes the bounds it saved.
+	// chain is the reaction-chain matrix (parcore.DriveOpts.Chain) that
+	// compensates those pre-apply bounds.
 	chain [][]vtime.Duration
 	// saved holds each worker's bounds from the last TStepDone round; nil
-	// when stale (before the first barrier, after a drain), which forces a
-	// bounds-only step. Saved bounds predate the application of messages
-	// still in flight toward the worker — Exchange compensates.
+	// when stale (before the first barrier, after a drain pass that sent
+	// messages), which forces a bounds-only step. Saved bounds predate the
+	// application of messages still in flight toward the worker — Exchange
+	// compensates.
 	saved []parcore.Bounds
+	// settled is the instant of the last drain pass that sent nothing (-1
+	// when a step has run since): nothing is in flight and every event at or
+	// before it has fired, so another pass there could apply and run
+	// nothing, and DrainPass answers it without a round trip.
+	settled vtime.Time
 	// lastGrants[j] is the last bound worker j ran (or drained) through: by
 	// earliest-output-time safety, no message still in flight toward j can
 	// fire before it.
@@ -784,15 +799,18 @@ type coordTransport struct {
 	// destination in its ShardTable sends TRouteReq on the control conn;
 	// read answers inline, so the RPC is always served while the coordinator
 	// awaits that worker's next protocol reply (a worker only pages routes
-	// while serving a step or drain round).
+	// while serving a step round).
 	oracle *bind.SummaryOracle
 
 	// rec, when non-nil, is the checkpoint/restart engine (Options.Recover):
 	// it logs every barrier round, stores checkpoint digests, and replays a
 	// respawned worker back to the crash point. stepIdx numbers step rounds
-	// 1-based — the checkpoint cadence and fault injection count in it.
+	// 1-based, drain passes included — the checkpoint cadence, fault
+	// injection and Report.ControlRounds count in it.
 	rec     *recoveryState
 	stepIdx int
+	// log receives progress lines (Options.Log).
+	log func(format string, args ...any)
 	// killRound/killShard arm sigkill-mode fault injection: at the start of
 	// step round killRound, the coordinator SIGKILLs killShard's process.
 	// Zero killRound = disarmed (also after firing).
@@ -816,6 +834,7 @@ func (t *coordTransport) init(k int) {
 	}
 	t.lastGrants = make([]vtime.Time, k)
 	t.acked = make([]uint64, k)
+	t.settled = -1
 }
 
 func sumCounts(v []uint64) uint64 {
@@ -919,15 +938,17 @@ func (t *coordTransport) update(i int, sent []uint64) error {
 }
 
 // Exchange implements parcore.Transport. The bounds were already reported
-// by the last step round; Exchange compensates them for in-flight traffic
-// and returns without touching the network (a bounds-only step round fills
-// in when no bounds are saved yet).
+// by the last step round — a window, or a drain pass that sent nothing;
+// Exchange compensates them for in-flight traffic and returns without
+// touching the network (a bounds-only step round fills in when no bounds
+// are saved).
 func (t *coordTransport) Exchange() ([]parcore.Bounds, error) {
 	if t.saved == nil {
-		// First barrier or post-drain: run a bounds-only step. It also
-		// settles every reported send — the expectation vector covers them
-		// all — so the bounds it returns need no compensation.
-		if err := t.stepRound(nil); err != nil {
+		// First barrier, or a drain ended on a pass that sent messages: run
+		// a bounds-only step. It also settles every reported send — the
+		// expectation vector covers them all — so the bounds it returns
+		// need no compensation.
+		if _, err := t.stepRound(nil, false); err != nil {
 			return nil, err
 		}
 	}
@@ -973,13 +994,21 @@ func boundsOf(next, safe int64, safeTo []int64, k int) parcore.Bounds {
 // prefix, applies its inbox, runs through its grant (nil grants: bounds
 // only), admits its gateway snapshot at the step floor, flushes its outbox,
 // and replies with counts plus its post-step bounds, which land in saved.
-func (t *coordTransport) stepRound(grants []vtime.Time) error {
+// A drain round runs each worker only if an event at or before its grant is
+// due and admits nothing; it reports whether any worker ran events.
+func (t *coordTransport) stepRound(grants []vtime.Time, drain bool) (bool, error) {
 	k := len(t.conns)
 	t.stepIdx++
+	t.settled = -1
 	if t.killRound > 0 && t.stepIdx == t.killRound {
 		// Sigkill-mode fault injection: a real, unannounced process death at
 		// the round's edge, racing the round's own frames.
 		t.killRound = 0
+		kind := "window step"
+		if drain {
+			kind = "drain pass"
+		}
+		t.log("fednet: fault injection: SIGKILL shard %d at step round %d (%s)", t.killShard, t.stepIdx, kind)
 		if w := t.spawned[t.killShard]; w != nil && w.cmd.Process != nil {
 			_ = w.cmd.Process.Kill()
 		}
@@ -997,42 +1026,44 @@ func (t *coordTransport) stepRound(grants []vtime.Time) error {
 			g = int64(grants[i])
 		}
 		expect := t.expectFor(i)
-		bodies[i] = wire.Step{Floor: int64(floor), Grant: g, Expect: expect, Ckpt: ckpt}.Encode()
+		bodies[i] = wire.Step{Floor: int64(floor), Grant: g, Ckpt: ckpt, Drain: drain, Expect: expect}.Encode()
 		t.acked[i] = sumCounts(expect)
 	}
-	replies, err := t.round(wire.TStep, wire.TStepDone, bodies, ckpt)
+	replies, err := t.round(bodies, ckpt)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if t.saved == nil {
 		t.saved = make([]parcore.Bounds, k)
 	}
+	progressed := false
 	for i, body := range replies {
 		m, err := wire.DecodeStepDone(body)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if vtime.Time(m.Counts.Now) > t.floor {
 			t.floor = vtime.Time(m.Counts.Now)
 		}
 		if err := t.update(i, m.Counts.Sent); err != nil {
-			return err
+			return false, err
 		}
 		t.saved[i] = boundsOf(m.Next, m.Safe, m.SafeTo, k)
+		progressed = progressed || m.Progressed
 	}
-	return nil
+	return progressed, nil
 }
 
-// round runs one logged barrier round: write bodies[i] to every worker,
-// read one doneTyp reply (plus a TCheckpoint digest when ckpt) from each,
-// and — when recovery is armed — respawn and replay any worker whose
-// connection died, then log the round for future replays. The returned
-// replies are by shard.
-func (t *coordTransport) round(reqTyp, doneTyp uint8, bodies [][]byte, ckpt bool) ([][]byte, error) {
+// round runs one logged step round: write bodies[i] to every worker, read
+// one TStepDone reply (plus a TCheckpoint digest when ckpt) from each, and —
+// when recovery is armed — respawn and replay any worker whose connection
+// died, then log the round for future replays. The returned replies are by
+// shard.
+func (t *coordTransport) round(bodies [][]byte, ckpt bool) ([][]byte, error) {
 	k := len(t.conns)
 	var failed []int
 	for i := 0; i < k; i++ {
-		if err := wire.WriteFrame(t.conns[i], reqTyp, bodies[i]); err != nil {
+		if err := wire.WriteFrame(t.conns[i], wire.TStep, bodies[i]); err != nil {
 			if t.rec == nil {
 				return nil, fmt.Errorf("fednet: shard %d: %w", i, err)
 			}
@@ -1045,7 +1076,7 @@ func (t *coordTransport) round(reqTyp, doneTyp uint8, bodies [][]byte, ckpt bool
 		if hasInt(failed, i) {
 			continue // already marked dead at write time
 		}
-		body, ck, err := t.readDone(i, doneTyp, ckpt)
+		body, ck, err := t.readDone(i, ckpt)
 		if err != nil {
 			var dead *shardDeadError
 			if t.rec != nil && errors.As(err, &dead) {
@@ -1064,30 +1095,30 @@ func (t *coordTransport) round(reqTyp, doneTyp uint8, bodies [][]byte, ckpt bool
 		if err := t.rec.recover(t, i); err != nil {
 			return nil, err
 		}
-		if err := wire.WriteFrame(t.conns[i], reqTyp, bodies[i]); err != nil {
+		if err := wire.WriteFrame(t.conns[i], wire.TStep, bodies[i]); err != nil {
 			return nil, fmt.Errorf("fednet: shard %d: respawn write: %w", i, err)
 		}
-		body, ck, err := t.readDone(i, doneTyp, ckpt)
+		body, ck, err := t.readDone(i, ckpt)
 		if err != nil {
 			return nil, fmt.Errorf("fednet: shard %d: after recovery: %w", i, err)
 		}
 		replies[i], ckpts[i] = body, ck
 	}
 	if t.rec != nil {
-		t.rec.logRound(reqTyp, bodies, replies, ckpt, ckpts)
+		t.rec.logRound(bodies, replies, ckpt, ckpts)
 	}
 	return replies, nil
 }
 
-// readDone reads worker i's round reply, and its checkpoint digest when the
-// round asked for one.
-func (t *coordTransport) readDone(i int, doneTyp uint8, ckpt bool) (reply, ckptBlob []byte, err error) {
+// readDone reads worker i's TStepDone reply, and its checkpoint digest when
+// the round asked for one.
+func (t *coordTransport) readDone(i int, ckpt bool) (reply, ckptBlob []byte, err error) {
 	typ, body, err := t.read(i)
 	if err != nil {
 		return nil, nil, err
 	}
-	if typ != doneTyp {
-		return nil, nil, fmt.Errorf("fednet: shard %d: expected frame type %d, got %d", i, doneTyp, typ)
+	if typ != wire.TStepDone {
+		return nil, nil, fmt.Errorf("fednet: shard %d: expected step reply, got frame type %d", i, typ)
 	}
 	if ckpt {
 		typ2, blob, err := t.read(i)
@@ -1179,7 +1210,7 @@ func (t *coordTransport) compensated() []parcore.Bounds {
 // real parallelism. The window rides the fused step round (one control round
 // trip covers await, apply, run, admit, and flush).
 func (t *coordTransport) Window(grants []vtime.Time) error {
-	if err := t.stepRound(grants); err != nil {
+	if _, err := t.stepRound(grants, false); err != nil {
 		return err
 	}
 	for i, g := range grants {
@@ -1196,44 +1227,42 @@ func (t *coordTransport) Window(grants []vtime.Time) error {
 	return nil
 }
 
-// DrainPass implements parcore.Transport. Turns within a pass are
-// independent (messages only move between passes), so the pass runs
-// concurrently here too; the expectation counters carry messages from the
-// previous pass only, exactly like the in-process transport.
+// DrainPass implements parcore.Transport: one drain step round at instant
+// tt. Turns within a pass are independent (messages only move between
+// passes), so the pass runs concurrently here too; the expectation counters
+// carry messages from the previous pass only, exactly like the in-process
+// transport. A pass that sends nothing settles tt: its bounds are exact (no
+// message is in flight), so the next Exchange uses them as they are, and
+// the next pass at tt — which could apply and run nothing — is answered
+// here without a round trip.
 func (t *coordTransport) DrainPass(tt vtime.Time) (bool, error) {
-	bodies := make([][]byte, len(t.conns))
-	for i := range t.conns {
-		expect := t.expectFor(i)
-		bodies[i] = wire.Drain{T: int64(tt), Expect: expect}.Encode()
-		t.acked[i] = sumCounts(expect)
+	if tt == t.settled {
+		return false, nil
 	}
-	replies, err := t.round(wire.TDrain, wire.TDrainDone, bodies, false)
+	grants := make([]vtime.Time, len(t.conns))
+	for i := range grants {
+		grants[i] = tt
+	}
+	sent := t.messages
+	progressed, err := t.stepRound(grants, true)
 	if err != nil {
 		return false, err
 	}
-	progressed := false
-	for i, body := range replies {
-		m, err := wire.DecodeDrainDone(body)
-		if err != nil {
-			return false, err
-		}
-		if vtime.Time(m.Counts.Now) > t.floor {
-			t.floor = vtime.Time(m.Counts.Now)
-		}
-		if err := t.update(i, m.Counts.Sent); err != nil {
-			return false, err
-		}
-		progressed = progressed || m.Progressed
+	if t.messages == sent {
+		t.settled = tt
+	} else {
+		// The pass's bounds predate the messages it sent; the next pass or
+		// a bounds-only step applies them.
+		t.saved = nil
 	}
-	// Drain turns run events, so any saved step bounds are stale; the next
-	// Exchange re-derives them with a bounds-only step.
-	t.saved = nil
 	for j := range t.lastGrants {
 		if tt > t.lastGrants[j] {
 			t.lastGrants[j] = tt
 		}
 	}
-	t.metrics.AddSerialRounds(1)
+	if progressed {
+		t.metrics.AddSerialRounds(1)
+	}
 	t.metrics.SetVTime(int64(t.floor))
 	t.metrics.SetMessages(t.messages)
 	return progressed, nil

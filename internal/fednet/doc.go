@@ -11,7 +11,8 @@
 //     VN world map, and the scenario as chunked setup over a TCP control
 //     plane, and drives the same conservative synchronization loop as the
 //     in-process runtime (parcore.DriveWith) through a socket-backed
-//     parcore.Transport whose every window is one fused step round.
+//     parcore.Transport whose every window and serial-drain pass is one
+//     fused step round.
 //   - Each worker (Worker, usually entered via the `modelnet core`
 //     subcommand or the self-exec spawn helper) deterministically rebuilds
 //     its shard — binding, sparse shard emulator, demand-paged routes,

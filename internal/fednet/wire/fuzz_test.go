@@ -24,8 +24,8 @@ func fuzzSeeds(f *testing.F) {
 		{Seq: 9, Kind: KindTunnel, Pid: 3, At: 5, Fire: 6, Pkt: pw},
 	}}.Encode())
 	f.Add(Counts{Now: 3, Sent: []uint64{0, 2}}.Encode())
-	f.Add(DrainDone{Progressed: true, Counts: Counts{Sent: []uint64{1}}}.Encode())
-	f.Add(Drain{T: 1 << 40, Expect: []uint64{5, 0}}.Encode())
+	f.Add(StepDone{Progressed: true, Counts: Counts{Sent: []uint64{1}}, Next: 2, Safe: 3}.Encode())
+	f.Add(Step{Floor: 1 << 40, Grant: 1 << 40, Drain: true, Expect: []uint64{5, 0}}.Encode())
 	f.Add(Step{Floor: 2, Grant: -1, Expect: []uint64{0, 3}}.Encode())
 	f.Add(Step{Floor: 1 << 40, Grant: 1 << 40, Ckpt: true, Expect: []uint64{7, 0, 1}}.Encode())
 	f.Add(StepDone{Counts: Counts{Now: 4, Sent: []uint64{1, 0}}, Next: 6, Safe: 7, SafeTo: []int64{8, 9}}.Encode())
@@ -39,8 +39,9 @@ func fuzzSeeds(f *testing.F) {
 }
 
 // FuzzDecodeData feeds arbitrary bytes to every body decoder: none may
-// panic, and a successful DataBatch decode must re-encode byte-identically
-// (the codec is canonical), packets included.
+// panic, and a successful DataBatch, Step or StepDone decode must re-encode
+// byte-identically (the codec is canonical — recovery replay byte-compares
+// step replies), packets included.
 func FuzzDecodeData(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -63,6 +64,12 @@ func FuzzDecodeData(f *testing.F) {
 				}
 			}
 		}
+		if m, err := DecodeStep(b); err == nil && !bytes.Equal(m.Encode(), b) {
+			t.Fatalf("Step decode/encode not canonical for %x", b)
+		}
+		if m, err := DecodeStepDone(b); err == nil && !bytes.Equal(m.Encode(), b) {
+			t.Fatalf("StepDone decode/encode not canonical for %x", b)
+		}
 		decodeAll(b)
 	})
 }
@@ -79,8 +86,6 @@ func mustPacket(t *testing.T, p *PacketWire) *pipes.Packet {
 // decodeAll exercises the remaining body decoders for panic safety.
 func decodeAll(b []byte) {
 	_, _ = DecodeCounts(b)
-	_, _ = DecodeDrain(b)
-	_, _ = DecodeDrainDone(b)
 	_, _ = DecodeStep(b)
 	_, _ = DecodeStepDone(b)
 }

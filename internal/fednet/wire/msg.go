@@ -32,7 +32,7 @@ func (m Counts) Encode() []byte {
 }
 
 // DecodeCounts parses an encoded Counts (the counts section of a TStepDone
-// or TDrainDone body).
+// body).
 func DecodeCounts(b []byte) (Counts, error) {
 	d := NewDec(b)
 	m := Counts{Now: d.I64()}
@@ -51,17 +51,22 @@ func DecodeCounts(b []byte) (Counts, error) {
 // unless Grant is negative (a bounds-only step), admits the live gateway
 // arrivals it snapshotted on reading the frame, flushes its outbox, and
 // replies with TStepDone.
+//
+// A Drain step is one serial-drain pass at instant Grant: the worker runs
+// only if an event at or before Grant is due, admits no gateway arrivals
+// (they wait for the next window step), and still flushes.
 type Step struct {
 	// Floor stamps live gateway admissions: each is scheduled at
 	// max(local clock, Floor). The coordinator sets it no lower than the
 	// clock floor, the paced wall clock and every finite grant of the round,
 	// so no peer has run past an admission (DESIGN.md §4).
 	Floor int64
-	Grant int64 // the shard's window grant; < 0 = report bounds, do not run
+	Grant int64 // the window grant, or a Drain step's instant; < 0 = report bounds, do not run
 	// Ckpt asks the worker to push a TCheckpoint digest after this step's
 	// TStepDone. The flag is coordinator-driven — a worker counting rounds
 	// itself would desynchronize when recovery retries a round.
 	Ckpt   bool
+	Drain  bool // a serial-drain pass at instant Grant
 	Expect []uint64
 }
 
@@ -71,6 +76,7 @@ func (m Step) Encode() []byte {
 	e.I64(m.Floor)
 	e.I64(m.Grant)
 	e.Bool(m.Ckpt)
+	e.Bool(m.Drain)
 	e.U32(uint32(len(m.Expect)))
 	for _, x := range m.Expect {
 		e.U64(x)
@@ -82,11 +88,13 @@ func (m Step) Encode() []byte {
 func DecodeStep(b []byte) (Step, error) {
 	d := NewDec(b)
 	m := Step{Floor: d.I64(), Grant: d.I64()}
-	ck, err := d.StrictBool()
-	if err != nil {
+	var err error
+	if m.Ckpt, err = d.StrictBool(); err != nil {
 		return Step{}, err
 	}
-	m.Ckpt = ck
+	if m.Drain, err = d.StrictBool(); err != nil {
+		return Step{}, err
+	}
 	n := d.Len(8)
 	for i := 0; i < n; i++ {
 		m.Expect = append(m.Expect, d.U64())
@@ -94,12 +102,14 @@ func DecodeStep(b []byte) (Step, error) {
 	return m, d.Done()
 }
 
-// StepDone reports a step's outcome: the worker's cumulative send counters
-// (settling the messages its window just flushed) and its bounds after the
-// run. The bounds predate the application of any messages still in flight
-// toward this worker — the coordinator compensates with the reaction-chain
-// floor before feeding them to the grant algebra.
+// StepDone reports a step's outcome: whether a drain step ran events, the
+// worker's cumulative send counters (settling the messages its window just
+// flushed) and its bounds after the run. The bounds predate the application
+// of any messages still in flight toward this worker — the coordinator
+// compensates with the reaction-chain floor before feeding them to the
+// grant algebra.
 type StepDone struct {
+	Progressed bool // a drain step ran events (always false for a window step)
 	Counts     Counts
 	Next, Safe int64
 	SafeTo     []int64
@@ -108,6 +118,7 @@ type StepDone struct {
 // Encode returns the frame body.
 func (m StepDone) Encode() []byte {
 	var e Enc
+	e.Bool(m.Progressed)
 	e.Blob(m.Counts.Encode())
 	e.I64(m.Next)
 	e.I64(m.Safe)
@@ -121,8 +132,12 @@ func (m StepDone) Encode() []byte {
 // DecodeStepDone parses a TStepDone body.
 func DecodeStepDone(b []byte) (StepDone, error) {
 	d := NewDec(b)
+	progressed, err := d.StrictBool()
+	if err != nil {
+		return StepDone{}, err
+	}
 	cb := d.Blob()
-	m := StepDone{Next: d.I64(), Safe: d.I64()}
+	m := StepDone{Progressed: progressed, Next: d.I64(), Safe: d.I64()}
 	n := d.Len(8)
 	for i := 0; i < n; i++ {
 		m.SafeTo = append(m.SafeTo, d.I64())
@@ -130,69 +145,11 @@ func DecodeStepDone(b []byte) (StepDone, error) {
 	if err := d.Done(); err != nil {
 		return StepDone{}, err
 	}
-	var err error
 	m.Counts, err = DecodeCounts(cb)
 	if err != nil {
 		return StepDone{}, err
 	}
 	return m, nil
-}
-
-// Drain gives a worker one serial drain turn at time T: await the Expect
-// channel prefixes (as in Step), apply, run local events with timestamps
-// ≤ T.
-type Drain struct {
-	T      int64
-	Expect []uint64
-}
-
-// Encode returns the frame body.
-func (m Drain) Encode() []byte {
-	var e Enc
-	e.I64(m.T)
-	e.U32(uint32(len(m.Expect)))
-	for _, x := range m.Expect {
-		e.U64(x)
-	}
-	return e.Bytes()
-}
-
-// DecodeDrain parses a TDrain body.
-func DecodeDrain(b []byte) (Drain, error) {
-	d := NewDec(b)
-	m := Drain{T: d.I64()}
-	n := d.Len(8)
-	for i := 0; i < n; i++ {
-		m.Expect = append(m.Expect, d.U64())
-	}
-	return m, d.Done()
-}
-
-// DrainDone reports a drain turn's outcome.
-type DrainDone struct {
-	Progressed bool
-	Counts     Counts
-}
-
-// Encode returns the frame body.
-func (m DrainDone) Encode() []byte {
-	var e Enc
-	e.Bool(m.Progressed)
-	e.Blob(m.Counts.Encode())
-	return e.Bytes()
-}
-
-// DecodeDrainDone parses a TDrainDone body.
-func DecodeDrainDone(b []byte) (DrainDone, error) {
-	d := NewDec(b)
-	m := DrainDone{Progressed: d.Bool()}
-	cb := d.Blob()
-	if err := d.Done(); err != nil {
-		return m, err
-	}
-	var err error
-	m.Counts, err = DecodeCounts(cb)
-	return m, err
 }
 
 // Data message kinds.

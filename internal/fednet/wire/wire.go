@@ -54,7 +54,11 @@ import (
 // gateway admissions made after the step's window; the monolithic setup
 // frame, the split flush/sync/window rounds and the single-message data
 // frame are gone, their type numbers retired.
-const Version = 9
+// Version 10 folds the serial drain into the step round: Step carries a
+// drain flag and StepDone a Progressed flag, so a drain pass reports the same
+// post-pass bounds as any step; the TDrain/TDrainDone pair is gone and its
+// type numbers retired.
+const Version = 10
 
 // MaxFrame bounds a frame's length field: anything larger is treated as
 // corruption rather than an allocation request.
@@ -64,20 +68,19 @@ const MaxFrame = 64 << 20
 // TDataBatch and TResend travel worker<->worker on the data plane. Numbers
 // are never reused: 2 (the monolithic setup frame), 4–9 (the split barrier's
 // flush, sync and window frames with their replies) and 15 (the
-// single-message data frame) are retired in version 9 and stay reserved, so
-// a stray frame from an older peer fails loudly instead of decoding as
+// single-message data frame) are retired in version 9, and 10–11 (the
+// serial drain turn and its reply) in version 10; all stay reserved, so a
+// stray frame from an older peer fails loudly instead of decoding as
 // something else.
 const (
 	THello      uint8 = 1  // worker -> coordinator: join (JSON body)
 	TSetupAck   uint8 = 3  // worker -> coordinator: mesh + gateway up (JSON body)
-	TDrain      uint8 = 10 // coordinator -> worker: one serial drain turn
-	TDrainDone  uint8 = 11 // worker -> coordinator: drain turn complete
 	TFinish     uint8 = 12 // coordinator -> worker: stop and report
 	TReport     uint8 = 13 // worker -> coordinator: final report (JSON body)
 	TError      uint8 = 14 // either direction: fatal error (text body)
 	TDataBatch  uint8 = 16 // worker -> worker: a dense run of tunnel messages
 	TTrace      uint8 = 17 // worker -> coordinator: a chunk of trace events (before TReport)
-	TStep       uint8 = 18 // coordinator -> worker: one fused barrier step (await + apply + run + admit + flush)
+	TStep       uint8 = 18 // coordinator -> worker: one fused barrier step or drain pass (await + apply + run + admit + flush)
 	TStepDone   uint8 = 19 // worker -> coordinator: step complete: counts + post-step bounds
 	TSetupChunk uint8 = 20 // coordinator -> worker: one chunk of a sharded setup section
 	TRouteReq   uint8 = 21 // worker -> coordinator: demand-page one route summary (epoch, target)

@@ -81,13 +81,24 @@ func TestSyncMessageRoundTrips(t *testing.T) {
 		!reflect.DeepEqual(sd.Counts.Sent, []uint64{1, 2}) || !reflect.DeepEqual(sd.SafeTo, []int64{3, 4}) {
 		t.Fatalf("stepdone: %+v, %v", sd, err)
 	}
-	dr, err := DecodeDrain(Drain{T: 3, Expect: []uint64{4}}.Encode())
-	if err != nil || dr.T != 3 || !reflect.DeepEqual(dr.Expect, []uint64{4}) {
-		t.Fatalf("drain: %+v, %v", dr, err)
+	dr, err := DecodeStep(Step{Floor: 3, Grant: 3, Drain: true, Expect: []uint64{4}}.Encode())
+	if err != nil || dr.Grant != 3 || !dr.Drain || dr.Ckpt || !reflect.DeepEqual(dr.Expect, []uint64{4}) {
+		t.Fatalf("drain step: %+v, %v", dr, err)
 	}
-	dd, err := DecodeDrainDone(DrainDone{Progressed: true, Counts: Counts{Now: 8, Sent: []uint64{3}}}.Encode())
-	if err != nil || !dd.Progressed || dd.Counts.Now != 8 || len(dd.Counts.Sent) != 1 {
-		t.Fatalf("draindone: %+v, %v", dd, err)
+	dd, err := DecodeStepDone(StepDone{Progressed: true, Counts: Counts{Now: 8, Sent: []uint64{3}}, Next: 9, Safe: 10}.Encode())
+	if err != nil || !dd.Progressed || dd.Counts.Now != 8 || len(dd.Counts.Sent) != 1 || dd.Next != 9 || dd.Safe != 10 {
+		t.Fatalf("progressed stepdone: %+v, %v", dd, err)
+	}
+	// Flags are canonical: a flag byte other than 0 or 1 is corruption.
+	bad := Step{Drain: true}.Encode()
+	bad[17] = 2
+	if _, err := DecodeStep(bad); err == nil {
+		t.Fatal("non-canonical drain flag accepted")
+	}
+	bad = StepDone{Progressed: true}.Encode()
+	bad[0] = 2
+	if _, err := DecodeStepDone(bad); err == nil {
+		t.Fatal("non-canonical progressed flag accepted")
 	}
 }
 

@@ -107,7 +107,8 @@ type workerState struct {
 	// cursor the barrier checkpoints record; rec keeps the per-peer send
 	// logs a respawned peer's recovery replays; resume marks this process
 	// as a respawned replacement replaying a logged prefix. failAt arms the
-	// fault-injection directive: die on receipt of the failAt-th TStep.
+	// fault-injection directive: die on receipt of the failAt-th TStep
+	// (drain passes included).
 	eng       *dynamics.Engine
 	rec       *workerRecovery
 	resume    bool
@@ -600,39 +601,6 @@ func (w *workerState) serve() error {
 				return err
 			}
 			w.failAt = int(m.Round)
-		case wire.TDrain:
-			m, err := wire.DecodeDrain(body)
-			if err != nil {
-				return err
-			}
-			t0 := time.Now()
-			msgs, err := w.col.wait(m.Expect, w.opts.Timeout)
-			if err != nil {
-				return err
-			}
-			if err := w.extendRoutes(msgs); err != nil {
-				return err
-			}
-			if err := w.applier.Apply(msgs); err != nil {
-				return err
-			}
-			progressed := false
-			f0 := w.sched.Fired()
-			if w.sched.NextEventTime() <= vtime.Time(m.T) {
-				w.sched.RunUntil(vtime.Time(m.T))
-				progressed = true
-			}
-			w.prof.DrainWallNs += uint64(time.Since(t0))
-			w.prof.EventsFired += w.sched.Fired() - f0
-			if err := w.flushOutbox(); err != nil {
-				return err
-			}
-			w.metrics.AddSerialRounds(1)
-			w.updateMetrics()
-			dd := wire.DrainDone{Progressed: progressed, Counts: w.counts()}
-			if err := w.send(wire.TDrainDone, dd.Encode()); err != nil {
-				return err
-			}
 		case wire.TFinish:
 			return w.finish()
 		default:
@@ -651,13 +619,18 @@ func (w *workerState) serve() error {
 // to both the bounds below and the coordinator's in-flight accounting) and
 // report counts and post-step bounds in one TStepDone. Arrivals after the
 // snapshot wait for the next step.
+//
+// A drain step is one serial-drain pass at the grant instant: it takes no
+// gateway snapshot (arrivals wait for the next window step), runs only if
+// an event at or before the instant is due, books its whole wall time as
+// drain time, and reports whether it ran events.
 func (w *workerState) step(body []byte) error {
 	m, err := wire.DecodeStep(body)
 	if err != nil {
 		return err
 	}
 	var arrivals edge.Arrivals
-	if w.gw != nil {
+	if w.gw != nil && !m.Drain {
 		arrivals = w.gw.Take()
 	}
 	t0 := time.Now()
@@ -666,7 +639,6 @@ func (w *workerState) step(body []byte) error {
 		return err
 	}
 	t1 := time.Now()
-	w.prof.WaitWallNs += uint64(t1.Sub(t0))
 	if err := w.extendRoutes(msgs); err != nil {
 		return err
 	}
@@ -674,9 +646,17 @@ func (w *workerState) step(body []byte) error {
 		return err
 	}
 	t2 := time.Now()
-	w.prof.ApplyWallNs += uint64(t2.Sub(t1))
-	if m.Grant >= 0 {
-		f0 := w.sched.Fired()
+	progressed := false
+	f0 := w.sched.Fired()
+	switch {
+	case m.Drain:
+		if w.sched.NextEventTime() <= vtime.Time(m.Grant) {
+			w.sched.RunUntil(vtime.Time(m.Grant))
+			progressed = true
+			w.metrics.AddSerialRounds(1)
+		}
+		w.prof.EventsFired += w.sched.Fired() - f0
+	case m.Grant >= 0:
 		w.sched.RunUntil(vtime.Time(m.Grant))
 		w.prof.RunWallNs += uint64(time.Since(t2))
 		w.prof.Windows++
@@ -691,14 +671,21 @@ func (w *workerState) step(body []byte) error {
 	if err := w.flushOutbox(); err != nil {
 		return err
 	}
-	w.prof.FlushWallNs += uint64(time.Since(f1))
+	if m.Drain {
+		w.prof.DrainWallNs += uint64(time.Since(t0))
+	} else {
+		w.prof.WaitWallNs += uint64(t1.Sub(t0))
+		w.prof.ApplyWallNs += uint64(t2.Sub(t1))
+		w.prof.FlushWallNs += uint64(time.Since(f1))
+	}
 	w.updateMetrics()
 	b := parcore.ShardBounds(w.sched, w.emu, w.sync, w.applier)
 	sd := wire.StepDone{
-		Counts: w.counts(),
-		Next:   int64(b.Next),
-		Safe:   int64(b.Safe),
-		SafeTo: timesToI64(b.SafeTo),
+		Progressed: progressed,
+		Counts:     w.counts(),
+		Next:       int64(b.Next),
+		Safe:       int64(b.Safe),
+		SafeTo:     timesToI64(b.SafeTo),
 	}
 	if err := w.send(wire.TStepDone, sd.Encode()); err != nil {
 		return err

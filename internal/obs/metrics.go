@@ -23,7 +23,7 @@ type Metrics struct {
 	start time.Time
 
 	windows      atomic.Uint64 // parallel windows completed
-	serialRounds atomic.Uint64 // serial drain rounds completed
+	serialRounds atomic.Uint64 // serial drain passes that ran events
 	messages     atomic.Uint64 // cross-shard messages exchanged
 	vtimeNs      atomic.Int64  // emulation virtual clock
 	lagNs        atomic.Int64  // wall clock minus pacing deadline (real-time runs)
@@ -50,7 +50,9 @@ func (m *Metrics) AddWindows(n uint64) {
 	}
 }
 
-// AddSerialRounds bumps the serial drain-round counter.
+// AddSerialRounds bumps the serial drain-round counter. Callers count only
+// passes that ran events, so the coordinator's gauge equals the run's
+// SyncStats.SerialRounds.
 func (m *Metrics) AddSerialRounds(n uint64) {
 	if m != nil {
 		m.serialRounds.Add(n)
@@ -121,7 +123,7 @@ func (m *Metrics) snapshot() map[string]float64 {
 var metricHelp = map[string]string{
 	"modelnet_uptime_seconds":          "seconds since the metrics endpoint came up",
 	"modelnet_windows_total":           "parallel synchronization windows completed",
-	"modelnet_serial_rounds_total":     "serial drain rounds completed",
+	"modelnet_serial_rounds_total":     "serial drain passes that ran events",
 	"modelnet_messages_total":          "cross-shard tunnel messages exchanged",
 	"modelnet_vtime_seconds":           "emulation virtual clock",
 	"modelnet_clock_lag_seconds":       "wall clock minus pacing deadline (positive = behind)",

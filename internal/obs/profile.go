@@ -13,7 +13,7 @@ import (
 )
 
 // DriveProfile is the wall-clock breakdown of one conservative
-// synchronization loop (parcore.Drive / DrivePaced), from the driver's
+// synchronization loop (parcore.Drive / DriveWith), from the driver's
 // point of view.
 type DriveProfile struct {
 	// BarrierWallNs is time in Exchange: flushing outboxes, applying
@@ -91,7 +91,11 @@ type RunProfile struct {
 	WallMS       float64 `json:"wall_ms"`
 	Windows      uint64  `json:"windows"`
 	SerialRounds uint64  `json:"serial_rounds"`
-	Messages     uint64  `json:"messages"`
+	// ControlRounds counts the federated coordinator's control round trips
+	// (every step round after setup, recovery replays excluded); zero in
+	// the other modes.
+	ControlRounds uint64 `json:"control_rounds,omitempty"`
+	Messages      uint64 `json:"messages"`
 	// SyncMode names the synchronization algebra ("adaptive" or "fixed";
 	// empty in sequential mode). The grant columns summarize the effective
 	// per-window grant spans the algebra handed out — under the fixed
@@ -129,8 +133,11 @@ func (p *RunProfile) SyncLine() string {
 	if wallNs > 0 {
 		share = 100 * float64(p.Drive.BarrierWallNs) / wallNs
 	}
-	s := fmt.Sprintf("%s, %d windows (%.0f windows/s), %d serial rounds, %d messages, barrier %.1f%% of wall",
-		p.SyncMode, p.Windows, perSec, p.SerialRounds, p.Messages, share)
+	s := fmt.Sprintf("%s, %d windows (%.0f windows/s), %d serial rounds", p.SyncMode, p.Windows, perSec, p.SerialRounds)
+	if p.ControlRounds > 0 {
+		s += fmt.Sprintf(", %d control rounds", p.ControlRounds)
+	}
+	s += fmt.Sprintf(", %d messages, barrier %.1f%% of wall", p.Messages, share)
 	if p.GrantMeanMS > 0 {
 		s += fmt.Sprintf(", grant %.2f/%.2f/%.2f ms min/mean/max",
 			p.GrantMinMS, p.GrantMeanMS, p.GrantMaxMS)

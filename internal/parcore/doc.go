@@ -41,8 +41,9 @@
 // The synchronization algebra itself lives in Drive, behind the Transport
 // interface: Runtime is the in-process transport (shards as goroutines,
 // barriers as slice moves) and internal/fednet implements the same contract
-// over real sockets, one OS process per shard. DrivePaced is the same loop
-// slaved to the wall clock (Pacing — the paper's 10 kHz-timer role), which
-// is what lets live edge gateways (internal/edge) feed real traffic into a
-// run whose emulated delays elapse in real time.
+// over real sockets, one OS process per shard. DriveWith with
+// DriveOpts.Pace runs the same loop slaved to the wall clock (Pacing — the
+// paper's 10 kHz-timer role), which is what lets live edge gateways
+// (internal/edge) feed real traffic into a run whose emulated delays elapse
+// in real time.
 package parcore

@@ -8,7 +8,7 @@ import (
 )
 
 // fakeShard is a single-shard Transport with a scripted event list, enough
-// to observe DrivePaced's wall-clock behavior without an emulator.
+// to observe a paced drive's wall-clock behavior without an emulator.
 type fakeShard struct {
 	clock   vtime.Time
 	events  []vtime.Time // pending, ascending
@@ -54,7 +54,7 @@ func TestDrivePacedSlavesToWallClock(t *testing.T) {
 	f := &fakeShard{events: []vtime.Time{vtime.Time(30 * vtime.Millisecond)}}
 	var st SyncStats
 	begin := time.Now()
-	err := DrivePaced(f, &st, vtime.Time(60*vtime.Millisecond), &Pacing{Quantum: 5 * vtime.Millisecond})
+	err := DriveWith(f, &st, vtime.Time(60*vtime.Millisecond), DriveOpts{Mode: SyncFixed, Pace: &Pacing{Quantum: 5 * vtime.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDrivePacedIdlesToDeadline(t *testing.T) {
 	f := &fakeShard{}
 	var st SyncStats
 	begin := time.Now()
-	if err := DrivePaced(f, &st, vtime.Time(40*vtime.Millisecond), &Pacing{Quantum: 10 * vtime.Millisecond}); err != nil {
+	if err := DriveWith(f, &st, vtime.Time(40*vtime.Millisecond), DriveOpts{Mode: SyncFixed, Pace: &Pacing{Quantum: 10 * vtime.Millisecond}}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(begin); elapsed < 40*time.Millisecond {
@@ -99,7 +99,7 @@ func TestDrivePacedIdlesToDeadline(t *testing.T) {
 
 func TestDrivePacedRejectsForever(t *testing.T) {
 	var st SyncStats
-	if err := DrivePaced(&fakeShard{}, &st, vtime.Forever, &Pacing{}); err == nil {
+	if err := DriveWith(&fakeShard{}, &st, vtime.Forever, DriveOpts{Mode: SyncFixed, Pace: &Pacing{}}); err == nil {
 		t.Fatal("paced drive with an infinite deadline must error")
 	}
 }
@@ -108,7 +108,7 @@ func TestDrivePacedNilPacingIsDrive(t *testing.T) {
 	f := &fakeShard{events: []vtime.Time{vtime.Time(5 * vtime.Millisecond)}}
 	var st SyncStats
 	begin := time.Now()
-	if err := DrivePaced(f, &st, vtime.Time(1000*vtime.Millisecond), nil); err != nil {
+	if err := DriveWith(f, &st, vtime.Time(1000*vtime.Millisecond), DriveOpts{Mode: SyncFixed, Pace: nil}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(begin); elapsed > 500*time.Millisecond {

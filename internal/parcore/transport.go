@@ -179,12 +179,6 @@ type Pacing struct {
 	Quantum vtime.Duration
 }
 
-// DrivePaced is Drive under real-time pacing (nil pace = plain Drive).
-// The deadline must be finite: a paced run's only exit is its deadline.
-func DrivePaced(tr Transport, st *SyncStats, deadline vtime.Time, pace *Pacing) error {
-	return DriveWith(tr, st, deadline, DriveOpts{Mode: SyncFixed, Pace: pace})
-}
-
 func drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error {
 	pace := o.Pace
 	adaptive := o.Mode == SyncAdaptive && o.Chain != nil && pace == nil
